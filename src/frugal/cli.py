@@ -15,10 +15,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .cut import cm_run, min_double_cut
+from .cut import cm_run, min_double_cut, select_double_cut
 from .eigen import build_vc_instance, ev_run
 from .errors import FrugalError, InputError, ScaleError
-from .flow import fm_run, nu_flow_fast, prune_to_support
+from .flow import fm_run, nu_flow_fast
 from .graph import graph_from_json
 from .oracle import (check_truthfulness, measure_frugality, random_costs,
                      random_cut_network, random_kplus1_flow,
@@ -119,7 +119,7 @@ def cmd_flow_auction(args) -> int:
     if bids is None:
         raise InputError("no bids: pass --bids or put costs on the edges")
     outcome = fm_run(g, bids, args.k)
-    h = prune_to_support(g, bids, args.k)
+    h = g.subgraph_edges(outcome.diagnostics["pruned_support"])
     nu_h = nu_flow_fast(h, bids, args.k)
     data = {
         "approx": True,
@@ -146,11 +146,11 @@ def cmd_cut_auction(args) -> int:
     bids = _load_costs(args.bids) if args.bids else file_costs
     if bids is None:
         raise InputError("no bids: pass --bids or put costs on the edges")
-    result = min_double_cut(g, bids)
+    _, result, double_cut = select_double_cut(g, bids)
     outcome = cm_run(g, bids)
     _emit({
         "approx": True,
-        "double_cut": sorted(outcome.diagnostics["double_cut"]),
+        "double_cut": sorted(double_cut),
         "cuts": ([sorted(result.cuts[0]), sorted(result.cuts[1])]
                  if result.cuts else None),
         "certified": result.certified,

@@ -16,6 +16,7 @@ objective, with an exact LP fallback.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,7 @@ def is_double_cut(g: Graph, edge_ids: frozenset) -> bool:
 
 def _max_flow(g: Graph, costs: dict) -> dict:
     """Edmonds-Karp max flow with the costs as capacities."""
-    f = {e.id: ZERO for e in g.edges}
+    f = {e.id: 0 for e in g.edges}
     while True:
         pred = {}
         seen = {g.source}
@@ -188,17 +189,18 @@ def _augment(g: Graph, costs, f, r, pred) -> None:
             f[eid] -= delta
 
 
-def _flow_value(g: Graph, f) -> Fraction:
-    return sum((f[e.id] for e in g.edges if e.tail == g.source), ZERO) - \
-        sum((f[e.id] for e in g.edges if e.head == g.source), ZERO)
+def _flow_value(g: Graph, f):
+    return sum(f[e.id] for e in g.edges if e.tail == g.source) - \
+        sum(f[e.id] for e in g.edges if e.head == g.source)
 
 
 def _relief_flow(g: Graph, costs):
     """Run the relief-augmentation loop to dual optimality.
 
-    Returns (f, r) or None when the iteration guard trips."""
+    Returns (f, r) or None when the iteration guard trips. Flows and
+    reliefs keep the costs' number type: int costs stay int."""
     f = _max_flow(g, costs)
-    r = {e.id: ZERO for e in g.edges}
+    r = {e.id: 0 for e in g.edges}
     for _ in range(MAX_RELIEF_ITERATIONS):
         arcs = _residual_arcs(g, costs, f, r)
         dist, pred = _shortest_by_length(arcs, g.vertices, g.source)
@@ -285,7 +287,7 @@ def _certified_cut(g: Graph, costs, s1, s2, dual_obj):
     d = c1 | c2
     if not is_double_cut(g, d):
         return None
-    if sum((costs[eid] for eid in d), ZERO) != dual_obj:
+    if sum(costs[eid] for eid in d) != dual_obj:
         return None
     return d
 
@@ -329,35 +331,46 @@ def min_double_cut(g: Graph, costs: dict,
     complementary slackness falls back to the exact LP.
 
     With `canonical=True` ties between equally cheap double cuts are
-    broken by a fixed rule (greedily exclude edges in ascending id
-    order whenever an equally cheap double cut avoids them), so the
-    chosen edge set depends only on the cost vector, never on how the
-    optimum was found. The auction needs this: an agent's bid must not
-    be able to steer which of two tied double cuts gets selected."""
-    base = _min_double_cut_any(g, costs)
+    broken by a fixed rule, so the chosen edge set depends only on the
+    cost vector, never on how the optimum was found. The auction needs
+    this: an agent's bid must not be able to steer which of two tied
+    double cuts gets selected. The rule: among the minimum-cost double
+    cuts, take the one whose membership vector, read in ascending id
+    order, is lexicographically smallest. Equivalently, exclude edges
+    in ascending id order whenever an equally cheap double cut avoids
+    them.
+
+    The rule runs as one solve on perturbed integer costs
+    c'_e = c_e * D * 2^m + 2^(m-1-rank(e)), with D the lcm of the cost
+    denominators, m the number of edges and rank(e) the position of e
+    in ascending id order. The perturbations of any edge set sum to
+    less than 2^m, one unit of D * c, so a perturbed optimum is an
+    optimum, and among optima the perturbation orders edge sets
+    exactly as the lexicographic rule does. The result reports cost
+    and dual objective in original units; flow value and relief total
+    exist only in perturbed units and are left None."""
+    _check_cut_input(g, costs)
     if not canonical:
-        return base
-    big = sum((costs[e.id] for e in g.edges), ZERO) + 1
-    working = dict(costs)
-    for eid in sorted(e.id for e in g.edges):
-        trial = dict(working)
-        trial[eid] = big
-        r = _min_double_cut_any(g, trial)
-        # r.cost uses the trial prices, so equality with the true
-        # optimum also certifies r avoids every excluded edge.
-        if eid not in r.double_cut and r.cost == base.cost:
-            working = trial
-    final = _min_double_cut_any(g, working)
-    return final
+        return _min_double_cut_any(g, costs)
+    order = sorted(e.id for e in g.edges)
+    exact = {eid: Fraction(costs[eid]) for eid in order}
+    m = len(order)
+    scale = math.lcm(*(c.denominator for c in exact.values())) << m
+    perturbed = {eid: exact[eid].numerator * (scale // exact[eid].denominator)
+                 + (1 << (m - 1 - rank))
+                 for rank, eid in enumerate(order)}
+    r = _min_double_cut_any(g, perturbed)
+    cost = sum((costs[eid] for eid in sorted(r.double_cut)), ZERO)
+    return DoubleCutResult(r.double_cut, cost, cost, r.certified, r.method,
+                           r.cuts)
 
 
 def _min_double_cut_any(g: Graph, costs: dict) -> DoubleCutResult:
-    _check_cut_input(g, costs)
     state = _relief_flow(g, costs)
     if state is not None:
         f, r = state
         flow_value = _flow_value(g, f)
-        relief_total = sum(r.values(), ZERO)
+        relief_total = sum(r.values())
         dual_obj = 2 * flow_value - relief_total
         for s1, s2 in _cut_candidates(g, costs, f, r):
             d = _certified_cut(g, costs, s1, s2, dual_obj)
@@ -586,6 +599,19 @@ def _selection_threshold(core: Graph, costs: dict, agent: str):
     return avoiding.cost - contained
 
 
+def select_double_cut(g: Graph,
+                      costs: dict) -> tuple[Graph, DoubleCutResult, frozenset]:
+    """The double cut the cut auction buys, and how it was found.
+
+    The canonical minimum double cut of the path core (the subgraph of
+    edges on some s-t path), pruned to inclusion-minimality. Returns
+    (core, the solve's DoubleCutResult, the pruned edge set)."""
+    _check_cut_input(g, costs)
+    core = g.subgraph_edges(path_edge_ids(g))
+    result = min_double_cut(core, costs, canonical=True)
+    return core, result, prune_redundant(core, costs, result.double_cut)
+
+
 def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
     """Run the full cut auction: buy a double cut, collapse to bundles,
     then hold the eigenvector cover auction. Winners form an s-t cut;
@@ -594,10 +620,7 @@ def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
     The auction happens on the subgraph of edges lying on some s-t
     path. Off-path edges can't appear in a minimal cut, and contracting
     them would spuriously merge blocks through edges no path uses."""
-    _check_cut_input(g, costs)
-    core = g.subgraph_edges(path_edge_ids(g))
-    result = min_double_cut(core, costs, canonical=True)
-    d = prune_redundant(core, costs, result.double_cut)
+    core, result, d = select_double_cut(g, costs)
     bundles = contract_to_h(core, d)
     inst = _cut_vc_instance(bundles)
     bids = {eid: costs[eid] for eid in d}
@@ -614,5 +637,5 @@ def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
     diagnostics = dict(outcome.diagnostics)
     diagnostics["double_cut"] = sorted(d)
     diagnostics["double_cut_method"] = result.method
-    total = sum(payments[w] for w in outcome.winners)
+    total = sum(payments[w] for w in sorted(outcome.winners))
     return AuctionOutcome(outcome.winners, payments, total, diagnostics)

@@ -168,7 +168,7 @@ class BruteForceCoverSolver:
                     continue
                 if any(u not in sel and v not in sel for u, v in self.edges):
                     continue
-                cost = sum(costs[a] for a in sel if a != required)
+                cost = sum(costs[a] for a in combo if a != required)
                 key = (cost, combo)
                 if best is None or key < best:
                     best = key
@@ -204,7 +204,7 @@ class MinimalCoverSolver:
 
     @staticmethod
     def _value(cover, costs, skip=None):
-        return sum(costs[a] for a in cover if a != skip)
+        return sum(costs[a] for a in sorted(cover) if a != skip)
 
     def min_cover(self, costs):
         best = min(self.covers,

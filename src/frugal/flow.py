@@ -51,23 +51,21 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     by an infinitesimal unique to that edge, so every shortest path is
     strictly unique and the optimum is deterministic regardless of input
     order. Raises DomainError when fewer than k disjoint paths exist.
+
+    The infinitesimals are a second, integer cost: the edge at position
+    i in descending id order weighs 3^(m-1-i). A residual path uses each
+    edge at most once, forward (+1) or backward (-1), so its tie cost is
+    a balanced-ternary number, and integer order on those equals
+    lexicographic order on the {-1, 0, 1} usage vectors. The highest id
+    holds the dominant slot, so ties favor flows that avoid high-id
+    edges.
     """
     _check_flow_input(g, costs)
-    # Highest id gets the lexicographically dominant perturbation slot,
-    # so ties favor flows that avoid high-id edges.
     order = sorted((e.id for e in g.edges), reverse=True)
-    idx = {eid: i for i, eid in enumerate(order)}
-    n_e = len(order)
-    zero_eps = (0,) * n_e
-
-    def eps(eid: str, sign: int):
-        vec = [0] * n_e
-        vec[idx[eid]] = sign
-        return tuple(vec)
-
+    weight = {eid: 3 ** (len(order) - 1 - i) for i, eid in enumerate(order)}
     flow: dict[str, int] = {eid: 0 for eid in order}
     for _ in range(k):
-        pred = _bellman_ford(g, costs, flow, eps, zero_eps)
+        pred = _bellman_ford(g, costs, flow, weight)
         if pred is None:
             raise DomainError(f"network does not support {k} edge-disjoint paths")
         v = g.sink
@@ -81,37 +79,35 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
                 flow[eid] = 0
                 v = e.head
     support = frozenset(eid for eid, f in flow.items() if f)
-    total = sum(costs[eid] for eid in support)
+    total = sum(costs[eid] for eid in sorted(support))
     return MinCostFlowResult(support, total)
 
 
-def _bellman_ford(g: Graph, costs, flow, eps, zero_eps):
+def _bellman_ford(g: Graph, costs, flow, weight):
     """Shortest s-t path in the residual graph under perturbed costs.
 
     Returns pred: vertex -> (edge id, is_forward), or None when the sink
-    is unreachable. Arc costs are (main, eps-vector) pairs compared
-    lexicographically; the eps vectors are distinct per edge so distinct
-    paths never tie.
+    is unreachable. Arc costs are (main, tie) pairs compared
+    lexicographically; the integer tie weights make distinct paths
+    never tie.
     """
-    arcs = []  # (tail, head, edge id, forward?)
+    arcs = []  # (tail, head, edge id, forward?, main cost, tie cost)
     for eid in sorted(flow):
         e = g.edge_by_id[eid]
         if flow[eid] == 0:
-            arcs.append((e.tail, e.head, eid, True))
+            arcs.append((e.tail, e.head, eid, True, costs[eid], weight[eid]))
         else:
-            arcs.append((e.head, e.tail, eid, False))
+            arcs.append((e.head, e.tail, eid, False, -costs[eid], -weight[eid]))
     dist = {v: None for v in g.vertices}
-    dist[g.source] = (0, zero_eps)
+    dist[g.source] = (0, 0)
     pred: dict[str, tuple[str, bool]] = {}
     for _ in range(len(g.vertices) - 1):
         changed = False
-        for tail, head, eid, forward in arcs:
+        for tail, head, eid, forward, cost, tie in arcs:
             if dist[tail] is None:
                 continue
-            sign = 1 if forward else -1
-            main, vec = dist[tail]
-            cand = (main + sign * costs[eid],
-                    tuple(a + b for a, b in zip(vec, eps(eid, sign))))
+            main, tie_sum = dist[tail]
+            cand = (main + cost, tie_sum + tie)
             if dist[head] is None or cand < dist[head]:
                 dist[head] = cand
                 pred[head] = (eid, forward)
@@ -287,7 +283,7 @@ def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
             payments[winner] = min(payments[winner], float(tau))
     diagnostics = dict(outcome.diagnostics)
     diagnostics["pruned_support"] = sorted(e.id for e in h.edges)
-    total = sum(payments[w] for w in outcome.winners)
+    total = sum(payments[w] for w in sorted(outcome.winners))
     return AuctionOutcome(outcome.winners, payments, total, diagnostics)
 
 

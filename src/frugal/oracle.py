@@ -1,7 +1,8 @@
 """Independent checkers and instance generators.
 
 Everything here exists to test the mechanisms from the outside:
-exhaustive double-cut search, black-box truthfulness probes with
+exhaustive double-cut search, the canonical tie-break by greedy
+re-solving, black-box truthfulness probes with
 payment bisection, frugality measurement against the exact Nash bound,
 and random instance generators. A deliberately broken first-price
 mechanism serves as the negative control for the truthfulness probe.
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import caps
-from .cut import double_cut_lp
+from .cut import DoubleCutResult, double_cut_lp, min_double_cut
 from .eigen import AuctionOutcome
 from .errors import DomainError, ScaleError
 from .graph import Graph, enumerate_st_paths
@@ -51,6 +52,27 @@ def brute_double_cut(g: Graph, costs: dict) -> tuple[frozenset, Fraction]:
     if best is None:
         raise DomainError("no double cut exists")
     return frozenset(best[1]), best[0]
+
+
+def canonical_double_cut_reference(g: Graph, costs: dict) -> DoubleCutResult:
+    """The canonical minimum double cut by greedy exclusion.
+
+    Edges are tried in ascending id order; each is priced out of reach
+    whenever an equally cheap double cut avoids it and every edge
+    excluded before it. m+2 solves: the reference for
+    `min_double_cut(canonical=True)`."""
+    base = min_double_cut(g, costs)
+    big = sum((costs[e.id] for e in g.edges), Fraction(0)) + 1
+    working = dict(costs)
+    for eid in sorted(e.id for e in g.edges):
+        trial = dict(working)
+        trial[eid] = big
+        r = min_double_cut(g, trial)
+        # r.cost uses the trial prices, so equality with the true
+        # optimum also certifies r avoids every excluded edge.
+        if eid not in r.double_cut and r.cost == base.cost:
+            working = trial
+    return min_double_cut(g, working)
 
 
 def brute_conflict_pairs(h: Graph) -> frozenset:

@@ -1,8 +1,13 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from frugal.cli import main
+from frugal.cut import cm_run, select_double_cut
+from frugal.graph import graph_to_json
+from frugal.oracle import random_cut_network
 
 
 @pytest.fixture
@@ -97,6 +102,24 @@ def test_cut_auction(capsys, write, path_json):
     assert data["certified"] is True
     assert data["winners"] == ["sa"]
     assert data["payments"]["sa"] == pytest.approx(2.0)
+
+
+def test_cut_auction_reports_the_selection_cm_run_made(capsys, write):
+    rng = random.Random(23)
+    for i in range(100):
+        g = random_cut_network(rng, rng.randint(4, 8), rng.randint(5, 12))
+        bids = {e.id: Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                for e in g.edges}
+        graph = write(f"g{i}.json", graph_to_json(g, bids))
+        code, data = run(capsys, ["cut-auction", "--graph", graph])
+        assert code == 0
+        _, result, double_cut = select_double_cut(g, bids)
+        outcome = cm_run(g, bids)
+        assert data["double_cut"] == outcome.diagnostics["double_cut"]
+        assert data["double_cut"] == sorted(double_cut)
+        assert data["method"] == outcome.diagnostics["double_cut_method"]
+        assert data["cuts"] == ([sorted(side) for side in result.cuts]
+                                if result.cuts else None)
 
 
 def test_double_cut(capsys, write, path_json):

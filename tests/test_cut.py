@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import frugal.cut
 from frugal.cut import (CutCoverSolver, cm_run, contract_to_h,
                         cut_conflict_graph, double_cut_lp, is_double_cut,
                         min_double_cut, path_edge_ids, prune_redundant)
 from frugal.errors import DomainError, InputError, MonopolyError
 from frugal.graph import Graph
-from frugal.oracle import brute_double_cut, random_costs, random_cut_network
+from frugal.oracle import (brute_double_cut, canonical_double_cut_reference,
+                           random_costs, random_cut_network)
 
 F = Fraction
 
@@ -219,6 +221,47 @@ def test_canonical_tie_break_is_bid_independent():
         picks.add(min_double_cut(g, probe, canonical=True).double_cut)
     assert len(picks) == 1
     assert picks.pop() == frozenset({"e0_1", "e1_4", "e2_3", "e2_4"})
+
+
+def tie_heavy_cut_instances(seed, count):
+    """Random cut networks with 4-10 vertices and bids p/q, p in 0..8,
+    q in 1..4: many exact ties and zero bids."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_cut_network(rng, rng.randint(4, 10), rng.randint(5, 14))
+        yield g, {e.id: F(rng.randint(0, 8), rng.randint(1, 4))
+                  for e in g.edges}
+
+
+def test_canonical_matches_greedy_reference():
+    zero_bids = 0
+    for g, costs in tie_heavy_cut_instances(61, 300):
+        zero_bids += sum(1 for c in costs.values() if c == 0)
+        got = min_double_cut(g, costs, canonical=True)
+        ref = canonical_double_cut_reference(g, costs)
+        assert got.double_cut == ref.double_cut
+        assert got.cost == got.dual_objective == ref.cost
+        assert got.certified
+        assert got.flow_value is None and got.relief_total is None
+    assert zero_bids > 0
+
+
+def test_cm_run_matches_reference_selection(monkeypatch):
+    instances = list(tie_heavy_cut_instances(62, 100))
+    fast = [cm_run(g, costs) for g, costs in instances]
+    plain = frugal.cut.min_double_cut
+
+    def reference(g, costs, canonical=False):
+        if canonical:
+            return canonical_double_cut_reference(g, costs)
+        return plain(g, costs)
+
+    monkeypatch.setattr(frugal.cut, "min_double_cut", reference)
+    for (g, costs), got in zip(instances, fast):
+        ref = cm_run(g, costs)
+        assert got.winners == ref.winners
+        assert got.payments == ref.payments
+        assert got.diagnostics["double_cut"] == ref.diagnostics["double_cut"]
 
 
 def test_cm_payment_capped_by_selection_threshold():

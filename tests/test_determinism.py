@@ -1,0 +1,57 @@
+"""Auction results must not depend on the interpreter's hash seed.
+
+Float sums taken in set order round differently from process to
+process, so every sum over agents runs in sorted id order. This test
+runs one seeded batch of cover and flow auctions under two hash seeds
+and compares the exact reprs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import frugal
+
+BATCH = r"""
+import random
+from fractions import Fraction
+from frugal.eigen import build_vc_instance, ev_run
+from frugal.flow import fm_run
+from frugal.oracle import random_flow_network, random_undirected_graph
+
+def show(outcome):
+    print(sorted(outcome.winners), sorted(outcome.payments.items()),
+          repr(outcome.total_payment))
+
+rng = random.Random(7)
+done = 0
+while done < 40:
+    g = random_undirected_graph(rng, rng.randint(5, 8))
+    inst = build_vc_instance(g, {v: Fraction(1) for v in g.vertices})
+    if not inst.agents:
+        continue
+    for _ in range(3):
+        show(ev_run(inst, {a: Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                           for a in g.vertices}))
+    done += 1
+for _ in range(60):
+    k = rng.randint(1, 2)
+    g = random_flow_network(rng, k, rng.randint(1, 4))
+    show(fm_run(g, {e.id: Fraction(rng.randint(1, 10**6), rng.randint(1, 4))
+                    for e in g.edges}, k))
+"""
+
+
+def run_batch(hash_seed: str) -> str:
+    src = str(Path(frugal.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", BATCH], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_results_do_not_depend_on_hash_seed():
+    first = run_batch("0")
+    assert first.count("\n") == 180
+    assert run_batch("1") == first
