@@ -146,11 +146,11 @@ def cmd_cut_auction(args) -> int:
     bids = _load_costs(args.bids) if args.bids else file_costs
     if bids is None:
         raise InputError("no bids: pass --bids or put costs on the edges")
-    _, result, double_cut = select_double_cut(g, bids)
+    _, result = select_double_cut(g, bids)
     outcome = cm_run(g, bids)
     _emit({
         "approx": True,
-        "double_cut": sorted(double_cut),
+        "double_cut": sorted(result.double_cut),
         "cuts": ([sorted(result.cuts[0]), sorted(result.cuts[1])]
                  if result.cuts else None),
         "certified": result.certified,

@@ -10,13 +10,13 @@ eigenvector cover auction finishes the job with Tot identically 1.
 The double cut itself comes from a primal-dual relief-flow algorithm
 (a Ford-Fulkerson extension where saturated edges can still carry flow
 at a price), certified optimal by weak duality against the exact dual
-objective, with an exact LP fallback.
+objective, with an exact LP fallback. Every solve runs on the costs'
+exact integer images (see `rational.integer_costs`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +27,7 @@ from .errors import DomainError, InputError, MonopolyError
 from .eigen import AuctionOutcome, VcInstance, build_vc_instance, ev_run
 from .graph import Graph, enumerate_st_paths, reachable
 from .lp import GEQ, LEQ, LinearProgram, solve
+from .rational import integer_costs, is_finite
 
 MAX_RELIEF_ITERATIONS = 10_000
 
@@ -41,6 +42,8 @@ def _check_cut_input(g: Graph, costs: dict):
     for e in g.edges:
         if e.id not in costs:
             raise InputError(f"missing cost for edge {e.id!r}")
+        if not is_finite(costs[e.id]):
+            raise InputError(f"non-finite cost for edge {e.id!r}")
         if costs[e.id] < 0:
             raise InputError(f"negative cost for edge {e.id!r}")
         if e.tail == e.head:
@@ -328,7 +331,11 @@ def min_double_cut(g: Graph, costs: dict,
     """Minimum-cost edge set meeting every s-t path at least twice.
 
     Primal-dual first; any failure to certify the relief flow's
-    complementary slackness falls back to the exact LP.
+    complementary slackness falls back to the exact LP. Both run on the
+    integer costs D * c_e, D the lcm of the cost denominators; the
+    algorithm's choices do not depend on a common positive scale, and
+    cost, dual objective, flow value and relief total are divided by D,
+    so the result reports exact Fractions in the input's units.
 
     With `canonical=True` ties between equally cheap double cuts are
     broken by a fixed rule, so the chosen edge set depends only on the
@@ -346,23 +353,32 @@ def min_double_cut(g: Graph, costs: dict,
     in ascending id order. The perturbations of any edge set sum to
     less than 2^m, one unit of D * c, so a perturbed optimum is an
     optimum, and among optima the perturbation orders edge sets
-    exactly as the lexicographic rule does. The result reports cost
-    and dual objective in original units; flow value and relief total
-    exist only in perturbed units and are left None."""
+    exactly as the lexicographic rule does. Every edge's perturbed cost
+    is positive, so the canonical cut holds no redundant edge: it is
+    inclusion-minimal. The result reports cost and dual objective in
+    original units; flow value and relief total exist only in perturbed
+    units and are left None."""
     _check_cut_input(g, costs)
-    if not canonical:
-        return _min_double_cut_any(g, costs)
     order = sorted(e.id for e in g.edges)
-    exact = {eid: Fraction(costs[eid]) for eid in order}
+    scale, exact = integer_costs({eid: costs[eid] for eid in order})
+    if not canonical:
+        r = _min_double_cut_any(g, exact)
+        return DoubleCutResult(
+            r.double_cut, Fraction(r.cost, scale),
+            Fraction(r.dual_objective, scale),
+            r.certified, r.method, r.cuts, _unscale(r.flow_value, scale),
+            _unscale(r.relief_total, scale))
     m = len(order)
-    scale = math.lcm(*(c.denominator for c in exact.values())) << m
-    perturbed = {eid: exact[eid].numerator * (scale // exact[eid].denominator)
-                 + (1 << (m - 1 - rank))
+    perturbed = {eid: (exact[eid] << m) + (1 << (m - 1 - rank))
                  for rank, eid in enumerate(order)}
     r = _min_double_cut_any(g, perturbed)
-    cost = sum((costs[eid] for eid in sorted(r.double_cut)), ZERO)
+    cost = Fraction(sum(exact[eid] for eid in r.double_cut), scale)
     return DoubleCutResult(r.double_cut, cost, cost, r.certified, r.method,
                            r.cuts)
+
+
+def _unscale(value, scale: int) -> Optional[Fraction]:
+    return None if value is None else Fraction(value, scale)
 
 
 def _min_double_cut_any(g: Graph, costs: dict) -> DoubleCutResult:
@@ -599,17 +615,15 @@ def _selection_threshold(core: Graph, costs: dict, agent: str):
     return avoiding.cost - contained
 
 
-def select_double_cut(g: Graph,
-                      costs: dict) -> tuple[Graph, DoubleCutResult, frozenset]:
+def select_double_cut(g: Graph, costs: dict) -> tuple[Graph, DoubleCutResult]:
     """The double cut the cut auction buys, and how it was found.
 
     The canonical minimum double cut of the path core (the subgraph of
-    edges on some s-t path), pruned to inclusion-minimality. Returns
-    (core, the solve's DoubleCutResult, the pruned edge set)."""
+    edges on some s-t path); it is inclusion-minimal as it stands.
+    Returns (core, the solve's DoubleCutResult)."""
     _check_cut_input(g, costs)
     core = g.subgraph_edges(path_edge_ids(g))
-    result = min_double_cut(core, costs, canonical=True)
-    return core, result, prune_redundant(core, costs, result.double_cut)
+    return core, min_double_cut(core, costs, canonical=True)
 
 
 def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
@@ -620,7 +634,8 @@ def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
     The auction happens on the subgraph of edges lying on some s-t
     path. Off-path edges can't appear in a minimal cut, and contracting
     them would spuriously merge blocks through edges no path uses."""
-    core, result, d = select_double_cut(g, costs)
+    core, result = select_double_cut(g, costs)
+    d = result.double_cut
     bundles = contract_to_h(core, d)
     inst = _cut_vc_instance(bundles)
     bids = {eid: costs[eid] for eid in d}

@@ -71,7 +71,7 @@ class VcInstance:
         return max(c.eigenvalue for c in self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuctionOutcome:
     winners: frozenset
     payments: dict  # agent -> float; losers carry 0.0
@@ -287,10 +287,7 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
         payments[a] = 0.0
     all_winners = frozenset(winners) | frozenset(inst.isolated)
     total = float(sum(payments.values()))
-    diagnostics = {
-        "scaled_bids": m,
-        "lambda": [c.eigenvalue for c in inst.components],
-    }
+    diagnostics = {"lambda": [c.eigenvalue for c in inst.components]}
     return AuctionOutcome(all_winners, payments, total, diagnostics)
 
 

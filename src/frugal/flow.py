@@ -8,7 +8,10 @@ Every Tot value in that instance is k, which makes the conflict graph's
 spectral bound the frugality guarantee.
 
 Costs may be Fractions (exact pruning, nu) or floats (scaled bids from
-the cover auction); the flow routines are agnostic.
+the cover auction). `min_cost_flow` solves on their exact integer
+images (see `rational.integer_costs`), so a float cost never rounds
+inside a solve; only the reported total keeps the callers' number
+type.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from . import caps
 from .errors import DomainError, InputError, MonopolyError, ScaleError
 from .eigen import AuctionOutcome, VcInstance, build_vc_instance, ev_run
 from .graph import Graph, enumerate_st_paths, reachable
+from .rational import integer_costs, is_finite
 
 
 def _check_flow_input(g: Graph, costs: dict):
@@ -32,6 +36,8 @@ def _check_flow_input(g: Graph, costs: dict):
     for e in g.edges:
         if e.id not in costs:
             raise InputError(f"missing cost for edge {e.id!r}")
+        if not is_finite(costs[e.id]):
+            raise InputError(f"non-finite cost for edge {e.id!r}")
         if costs[e.id] < 0:
             raise InputError(f"negative cost for edge {e.id!r}")
         if e.tail == e.head:
@@ -41,16 +47,19 @@ def _check_flow_input(g: Graph, costs: dict):
 @dataclass(frozen=True)
 class MinCostFlowResult:
     support: frozenset  # edge ids carrying one unit
-    cost: object  # Fraction or float, total main cost over the support
+    cost: object  # sum of the given costs over the support, in their type
 
 
 def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     """Min-cost flow of value k under unit capacities.
 
-    Successive shortest augmenting paths. Each edge's cost is perturbed
-    by an infinitesimal unique to that edge, so every shortest path is
-    strictly unique and the optimum is deterministic regardless of input
-    order. Raises DomainError when fewer than k disjoint paths exist.
+    Successive shortest augmenting paths on the costs' exact integer
+    images D * c (D the lcm of the denominators of Fraction(c)), so
+    Fraction and float costs alike compare without rounding. Each
+    edge's cost is perturbed by an infinitesimal unique to that edge,
+    so every shortest path is strictly unique and the optimum is
+    deterministic regardless of input order. Raises DomainError when
+    fewer than k disjoint paths exist.
 
     The infinitesimals are a second, integer cost: the edge at position
     i in descending id order weighs 3^(m-1-i). A residual path uses each
@@ -62,10 +71,11 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     """
     _check_flow_input(g, costs)
     order = sorted((e.id for e in g.edges), reverse=True)
+    _, main = integer_costs({eid: costs[eid] for eid in order})
     weight = {eid: 3 ** (len(order) - 1 - i) for i, eid in enumerate(order)}
     flow: dict[str, int] = {eid: 0 for eid in order}
     for _ in range(k):
-        pred = _bellman_ford(g, costs, flow, weight)
+        pred = _bellman_ford(g, main, flow, weight)
         if pred is None:
             raise DomainError(f"network does not support {k} edge-disjoint paths")
         v = g.sink
@@ -87,9 +97,10 @@ def _bellman_ford(g: Graph, costs, flow, weight):
     """Shortest s-t path in the residual graph under perturbed costs.
 
     Returns pred: vertex -> (edge id, is_forward), or None when the sink
-    is unreachable. Arc costs are (main, tie) pairs compared
-    lexicographically; the integer tie weights make distinct paths
-    never tie.
+    is unreachable. Arc costs are (main, tie) pairs of integers compared
+    lexicographically; the tie weights make distinct paths never tie.
+    Exact integers leave the residual graph free of negative cycles, so
+    the walk back along pred always reaches the source.
     """
     arcs = []  # (tail, head, edge id, forward?, main cost, tie cost)
     for eid in sorted(flow):

@@ -3,11 +3,13 @@
 All costs, bids, LP data, and Nash-bound values in this package are
 `fractions.Fraction` instances (always in lowest terms, positive
 denominator). JSON files carry them as strings like "3/2"; bare
-integers are accepted as shorthand.
+integers are accepted as shorthand. The flow and cut solvers run on
+the costs' exact integer images (`integer_costs`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -24,6 +26,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"not a rational: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -31,6 +35,26 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational: {value!r}") from exc
     raise InputError(f"not a rational: {value!r}")
+
+
+def is_finite(value) -> bool:
+    """False for NaN and the infinities. Every int and Fraction is
+    finite, however large; anything else is tested as a float."""
+    return isinstance(value, (int, Fraction)) or math.isfinite(value)
+
+
+def integer_costs(costs: dict) -> tuple[int, dict]:
+    """(D, {key: D * c}): the costs as exact integers with one common
+    scale D, the lcm of the cost denominators in lowest terms.
+
+    `c.as_integer_ratio()` gives Fraction(c)'s numerator and
+    denominator, exactly for int, Fraction and float alike, so sums of
+    the integers order and tie exactly as the sums of the costs do.
+    The costs must be finite."""
+    ratios = {key: c.as_integer_ratio() for key, c in costs.items()}
+    scale = math.lcm(*(den for _, den in ratios.values()))
+    return scale, {key: num * (scale // den)
+                   for key, (num, den) in ratios.items()}
 
 
 def format_rational(value: Fraction) -> str:

@@ -6,8 +6,10 @@ import pytest
 
 from frugal.cli import main
 from frugal.cut import cm_run, select_double_cut
+from frugal.errors import InputError
 from frugal.graph import graph_to_json
 from frugal.oracle import random_cut_network
+from frugal.rational import parse_rational
 
 
 @pytest.fixture
@@ -113,10 +115,10 @@ def test_cut_auction_reports_the_selection_cm_run_made(capsys, write):
         graph = write(f"g{i}.json", graph_to_json(g, bids))
         code, data = run(capsys, ["cut-auction", "--graph", graph])
         assert code == 0
-        _, result, double_cut = select_double_cut(g, bids)
+        _, result = select_double_cut(g, bids)
         outcome = cm_run(g, bids)
         assert data["double_cut"] == outcome.diagnostics["double_cut"]
-        assert data["double_cut"] == sorted(double_cut)
+        assert data["double_cut"] == sorted(result.double_cut)
         assert data["method"] == outcome.diagnostics["double_cut_method"]
         assert data["cuts"] == ([sorted(side) for side in result.cuts]
                                 if result.cuts else None)
@@ -130,6 +132,29 @@ def test_double_cut(capsys, write, path_json):
     assert data["certified"] is True
     assert data["flow_value"] == "2/1"
     assert data["relief_total"] == "1/1"
+
+
+def test_double_cut_reports_original_units(capsys, write, path_json):
+    for edge, cost in zip(path_json["edges"], ("1/2", "5/3", "3/4")):
+        edge["cost"] = cost
+    graph = write("g.json", path_json)
+    code, data = run(capsys, ["double-cut", "--graph", graph])
+    assert code == 0
+    assert data["double_cut"] == ["bt", "sa"]
+    assert data["cost"] == data["dual_objective"] == "5/4"
+    assert (data["flow_value"], data["relief_total"]) == ("3/4", "1/4")
+    flow_value = Fraction(data["flow_value"])
+    assert 2 * flow_value - Fraction(data["relief_total"]) == Fraction(5, 4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_costs_are_input_errors(capsys, write, path_json, bad):
+    with pytest.raises(InputError):
+        parse_rational(bad)
+    graph = write("g.json", path_json)
+    costs = write("c.json", {"sa": bad, "ab": "1", "bt": "1"})
+    for command, flag in (("double-cut", "--costs"), ("cut-auction", "--bids")):
+        assert main([command, "--graph", graph, flag, costs]) == 1
 
 
 def test_explicit_costs_override_graph_costs(capsys, write, path_json):

@@ -77,6 +77,36 @@ def test_min_double_cut_rejects_negative_cost(path_graph, path_costs):
         min_double_cut(path_graph, bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cut_rejects_non_finite_bids(diamond, bad):
+    costs = dict(diamond_costs(), sa=bad)
+    with pytest.raises(InputError):
+        cm_run(diamond, costs)
+    with pytest.raises(InputError):
+        min_double_cut(diamond, costs)
+
+
+def test_min_double_cut_reports_original_units():
+    # Denominators 2, 3 and 4: every solve runs on the integers 12 * c,
+    # and the result must come back divided by that scale.
+    g = Graph.build(
+        ["s", "a", "b", "t"],
+        [("sa", "s", "a"), ("at", "a", "t"), ("sb", "s", "b"),
+         ("bt", "b", "t"), ("ab", "a", "b")],
+        directed=True, source="s", sink="t")
+    costs = {"sa": F(1, 2), "at": F(2, 3), "sb": F(3, 4), "bt": F(5, 4),
+             "ab": F(1, 3)}
+    res = min_double_cut(g, costs)
+    assert res.method == "primal-dual"
+    assert res.double_cut == frozenset({"sa", "at", "sb", "bt"})
+    assert res.cost == res.dual_objective == F(19, 6)
+    assert 2 * res.flow_value - res.relief_total == res.cost
+    assert (res.flow_value, res.relief_total) == (F(23, 12), F(2, 3))
+    for value in (res.cost, res.dual_objective, res.flow_value,
+                  res.relief_total):
+        assert isinstance(value, Fraction)
+
+
 def test_min_double_cut_needs_st_path():
     g = Graph.build(["s", "a", "t"], [("sa", "s", "a")],
                     source="s", sink="t")
@@ -244,6 +274,18 @@ def test_canonical_matches_greedy_reference():
         assert got.certified
         assert got.flow_value is None and got.relief_total is None
     assert zero_bids > 0
+
+
+def test_canonical_cut_is_inclusion_minimal():
+    # Every perturbed cost is positive, so the canonical solve never
+    # keeps an edge the cut could drop; pruning must change nothing.
+    zero_bid_cuts = 0
+    for g, costs in tie_heavy_cut_instances(63, 300):
+        core = g.subgraph_edges(path_edge_ids(g))
+        d = min_double_cut(core, costs, canonical=True).double_cut
+        zero_bid_cuts += any(costs[eid] == 0 for eid in d)
+        assert prune_redundant(core, costs, d) == d
+    assert zero_bid_cuts > 0
 
 
 def test_cm_run_matches_reference_selection(monkeypatch):

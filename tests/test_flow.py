@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,71 @@ def test_min_cost_flow_infeasible(path_graph, path_costs):
 def test_flow_input_validation(triangle):
     with pytest.raises(InputError):
         min_cost_flow(triangle, {e.id: Fraction(1) for e in triangle.edges}, 1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_fm_run_rejects_non_finite_bids(three_flow, bad):
+    costs = dict(unit(three_flow), u=bad)
+    with pytest.raises(InputError):
+        fm_run(three_flow, costs, 2)
+    with pytest.raises(InputError):
+        min_cost_flow(three_flow, costs, 2)
+
+
+def test_min_cost_flow_total_keeps_the_cost_type():
+    g, _ = parallel({"e1": 1, "e2": 2, "e3": 3})
+    res = min_cost_flow(g, {"e1": 0.5, "e2": 0.25, "e3": 1.0}, 2)
+    assert res.support == frozenset({"e1", "e2"})
+    assert res.cost == 0.75 and isinstance(res.cost, float)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fm_run_returns_on_tied_bids():
+    # random_flow_network under random.Random(18174), k=2. Equal scaled
+    # bids on edges of equal eigenvector weight once left a rounding-size
+    # negative cycle in a float residual graph inside a cover query, and
+    # the walk back from the sink along pred never ended.
+    g = Graph.build(
+        ["s", "t", "p1n0", "p1n1", "p2n0"],
+        [("p0e0", "s", "t"), ("p1e0", "s", "p1n0"),
+         ("p1e1", "p1n0", "p1n1"), ("p1e2", "p1n1", "t"),
+         ("p2e0", "s", "p2n0"), ("p2e1", "p2n0", "t"),
+         ("x0", "p1n1", "t"), ("x3", "p2n0", "p1n0"), ("x4", "s", "p1n1")],
+        directed=True, source="s", sink="t")
+    F = Fraction
+    bids = {"p0e0": F(7), "p1e0": F(4, 3), "p1e1": F(1, 2), "p1e2": F(1, 2),
+            "p2e0": F(7, 2), "p2e1": F(5, 3), "x0": F(1, 2), "x3": F(3),
+            "x4": F(5, 4)}
+    with time_limit(20):
+        out = fm_run(g, bids, 2)
+    decompose_paths(g.subgraph_edges(out.winners), 2)
+    for w in out.winners:
+        assert out.payments[w] >= float(bids[w]) - 1e-9
+
+
+@pytest.mark.parametrize("seed", [20793, 26005])
+def test_fm_run_returns_on_generated_tied_bids(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    g = random_flow_network(rng, k, rng.randint(1, 5))
+    bids = {e.id: Fraction(rng.randint(0, 8), rng.randint(1, 4))
+            for e in g.edges}
+    with time_limit(20):
+        out = fm_run(g, bids, k)
+    decompose_paths(g.subgraph_edges(out.winners), k)
 
 
 def test_prune_keeps_three_flow(three_flow):
