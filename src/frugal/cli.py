@@ -270,7 +270,7 @@ def cmd_frugality(args) -> int:
                 inst = build_vc_instance(g, tot_map)
             except FrugalError:
                 continue
-            vectors = [random_costs(rng, inst.agents) for _ in range(5)]
+            vectors = [random_costs(rng, g.vertices) for _ in range(5)]
             ratio = measure_frugality(lambda b: ev_run(inst, b),
                                       lambda c: nu(sys_, c).value, vectors)
             # The guaranteed payment bound is lambda * sum(c_v tot_v);

@@ -50,7 +50,7 @@ class ComponentEigenpair:
 @dataclass(frozen=True)
 class VcInstance:
     conflict_graph: Graph  # isolated agents already stripped
-    tot: dict  # agent -> Fraction, >= 1
+    tot: dict  # agent -> Fraction, >= 1 on every non-isolated agent
     components: tuple[ComponentEigenpair, ...]
     solver: CoverSolver
     isolated: tuple[str, ...] = ()
@@ -228,20 +228,23 @@ class MinimalCoverSolver:
 
 def build_vc_instance(conflict_graph: Graph, tot: dict,
                       solver: CoverSolver | None = None) -> VcInstance:
-    """Strip isolated agents, then compute per-component eigenpairs."""
+    """Strip isolated agents, then compute per-component eigenpairs.
+
+    Only the remaining agents need a Tot value, and it must be >= 1; an
+    isolated agent's Tot is 0 (its neighbourhood is empty)."""
     if conflict_graph.directed:
         raise InputError("conflict graph must be undirected")
     if any(e.tail == e.head for e in conflict_graph.edges):
         raise InputError("conflict graph must have no self-loops")
-    for v in conflict_graph.vertices:
-        if v not in tot:
-            raise InputError(f"missing Tot value for agent {v!r}")
-        if tot[v] < 1:
-            raise InputError(f"Tot({v!r}) must be >= 1")
 
     isolated = tuple(sorted(v for v in conflict_graph.vertices
                             if not conflict_graph.neighbors(v)))
     live = tuple(sorted(set(conflict_graph.vertices) - set(isolated)))
+    for v in live:
+        if v not in tot:
+            raise InputError(f"missing Tot value for agent {v!r}")
+        if tot[v] < 1:
+            raise InputError(f"Tot({v!r}) must be >= 1")
     stripped = Graph(live, conflict_graph.edges, directed=False)
 
     adj = {tuple(sorted((e.tail, e.head))) for e in stripped.edges}
@@ -282,13 +285,12 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
         _, a_val = inst.solver.min_cover_containing(u, m)
         _, b_val = inst.solver.min_cover_excluding(u, m)
         payments[u] = q[u] * (b_val - a_val)
-    # Isolated agents win trivially at price 0.
+    # No minimal cover holds an isolated agent, so it loses at price 0.
     for a in inst.isolated:
         payments[a] = 0.0
-    all_winners = frozenset(winners) | frozenset(inst.isolated)
     total = float(sum(payments.values()))
     diagnostics = {"lambda": [c.eigenvalue for c in inst.components]}
-    return AuctionOutcome(all_winners, payments, total, diagnostics)
+    return AuctionOutcome(frozenset(winners), payments, total, diagnostics)
 
 
 def unit_bid_vector(inst: VcInstance, agent: str,

@@ -9,7 +9,9 @@ materialized explicitly at desk scale:
   * cut: agents are edges, feasible sets contain an s-t cut.
 
 nu(sys, c) is the optimal value of the max-total-bid LP over first-price
-equilibrium bids, computed exactly.
+equilibrium bids, computed exactly. tot(sys, v) is nu at v's unit cost
+vector; on vertex-cover systems it is computed from v's neighbourhood
+alone, as its fractional clique number.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
-
-import networkx as nx
 
 from . import caps
 from .errors import DomainError, InputError, MonopolyError, ScaleError
@@ -90,19 +90,54 @@ def _minimal_vertex_covers(g: Graph) -> list[frozenset]:
 
 
 def _maximal_independent_sets(g: Graph) -> list[frozenset]:
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.vertices)
+    """Every maximal independent set, sorted by its sorted id tuple.
+
+    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi,
+    2006) on the non-adjacency relation, so the cliques it lists are
+    the independent sets of g. Self-loops and edge direction are
+    ignored. The empty graph has none."""
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    everyone = (1 << len(verts)) - 1
+    non_adj = [everyone & ~(1 << i) for i in range(len(verts))]
     for e in g.edges:
         if e.tail != e.head:
-            nxg.add_edge(e.tail, e.head)
-    comp = nx.complement(nxg)
+            i, j = index[e.tail], index[e.head]
+            non_adj[i] &= ~(1 << j)
+            non_adj[j] &= ~(1 << i)
     limit = caps.cap(caps.INDEPENDENT_SET_CAP)
+    found: list[int] = []
+
+    def expand(chosen: int, cand: int, done: int):
+        if not cand and not done:
+            found.append(chosen)
+            if len(found) > limit:
+                raise ScaleError(f"more than {limit} maximal independent sets")
+            return
+        # Branch only on candidates the pivot's relation misses; Tomita's
+        # pivot misses the fewest.
+        pivot = max(_bits(cand | done),
+                    key=lambda u: (cand & non_adj[u]).bit_count())
+        for v in _bits(cand & ~non_adj[pivot]):
+            bit = 1 << v
+            expand(chosen | bit, cand & non_adj[v], done & non_adj[v])
+            cand &= ~bit
+            done |= bit
+
+    if verts:
+        expand(0, everyone, 0)
+    sets = [frozenset(verts[i] for i in _bits(mask)) for mask in found]
+    return sorted(sets, key=lambda s: tuple(sorted(s)))
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
     out = []
-    for clique in nx.find_cliques(comp):
-        out.append(frozenset(clique))
-        if len(out) > limit:
-            raise ScaleError(f"more than {limit} maximal independent sets")
-    return sorted(out, key=lambda s: tuple(sorted(s)))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _minimal_k_flows(g: Graph, k: int) -> list[frozenset]:
@@ -211,9 +246,21 @@ def unit_costs(sys: SetSystem, agent: str) -> CostVector:
 
 
 def tot(sys: SetSystem, agent: str) -> Fraction:
-    """nu at the unit cost vector of `agent`."""
+    """nu at the unit cost vector of `agent`.
+
+    On a vertex-cover system, with v the agent, this is the fractional
+    clique number of v's neighbourhood N(v). With unit cost on v the
+    cheapest cover omits v, so it holds N(v). A winner u outside N(v)
+    bids 0, since the cover of every vertex but u and v undercuts it. A
+    cover T that holds v caps the total bid on N(v) minus T at T's cost,
+    1, and those differences range over the independent sets of G[N(v)].
+    So the LP has deg(v) variables and one row per maximal independent
+    set of G[N(v)], not one per minimal cover of the whole graph. An
+    isolated vertex gets 0. The k-flow and cut systems solve nu itself."""
     if agent not in sys.agents:
         raise InputError(f"unknown agent {agent!r}")
+    if sys.kind == VERTEX_COVER:
+        return fractional_clique_number(neighborhood_subgraph(sys.graph, agent))
     return nu(sys, unit_costs(sys, agent)).value
 
 

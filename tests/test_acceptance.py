@@ -30,7 +30,8 @@ from frugal.oracle import (brute_conflict_pairs, brute_double_cut,
                            random_kplus1_flow, random_undirected_graph)
 from frugal.setsystems import (CUT, K_FLOW, VERTEX_COVER, SetSystem,
                                fractional_clique_number,
-                               neighborhood_subgraph, nu, tot)
+                               neighborhood_subgraph, nu, tot,
+                               unit_costs)
 
 F = Fraction
 
@@ -81,18 +82,23 @@ def component_lambda(inst, agent):
 
 def test_criterion_1_tot_is_neighborhood_clique_number(capfd):
     @criterion(capfd, 1,
-               "tot equals the neighborhood fractional clique number "
-               "on all connected graphs with at most 6 vertices")
+               "nu at each unit cost vector equals tot and the "
+               "neighborhood fractional clique number on all connected "
+               "graphs with at most 6 vertices and 36 G(n, 0.4) graphs "
+               "with 7-12 vertices")
     def _():
-        graphs = [g for g in nx.graph_atlas_g()[1:]
+        graphs = [from_networkx(g) for g in nx.graph_atlas_g()[1:]
                   if len(g) <= 6 and len(g) >= 2 and nx.is_connected(g)]
         assert len(graphs) >= 100
-        for nxg in graphs:
-            g = from_networkx(nxg)
+        rng = random.Random(101)
+        graphs += [random_undirected_graph(rng, n, p=0.4)
+                   for n in range(7, 13) for _ in range(6)]
+        for g in graphs:
             sys_ = SetSystem(VERTEX_COVER, g)
             for v in g.vertices:
-                assert tot(sys_, v) == fractional_clique_number(
-                    neighborhood_subgraph(g, v))
+                expected = fractional_clique_number(neighborhood_subgraph(g, v))
+                assert nu(sys_, unit_costs(sys_, v)).value == expected
+                assert tot(sys_, v) == expected
 
 
 def test_criterion_2_payment_bounded_by_lambda_nu(capfd):

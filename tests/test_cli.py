@@ -86,6 +86,20 @@ def test_vc_auction(capsys, write, triangle_graph):
     assert data["tot"] == {"a": "2/1", "b": "2/1", "c": "2/1"}
 
 
+def test_vc_auction_with_an_isolated_vertex(capsys, write, triangle_graph):
+    # z touches no edge: Tot(z) is 0 and z loses at price 0.
+    triangle_graph["vertices"].append("z")
+    graph = write("g.json", triangle_graph)
+    bids = write("b.json", {"a": "1", "b": "0", "c": "0", "z": "5"})
+    code, data = run(capsys, ["vc-auction", "--graph", graph,
+                              "--bids", bids, "--tot", "auto"])
+    assert code == 0
+    assert data["winners"] == ["b", "c"]
+    assert data["payments"]["z"] == 0.0
+    assert data["total_payment"] == pytest.approx(2.0)
+    assert data["tot"]["z"] == "0/1"
+
+
 def test_flow_auction(capsys, write, three_flow_json):
     graph = write("g.json", three_flow_json)
     code, data = run(capsys, ["flow-auction", "--graph", graph, "-k", "2"])

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import frugal.cut
-from frugal.cut import (CutCoverSolver, cm_run, contract_to_h,
-                        cut_conflict_graph, double_cut_lp, is_double_cut,
-                        min_double_cut, path_edge_ids, prune_redundant)
+from frugal.cut import (CutCoverSolver, _cut_vc_instance, cm_run,
+                        contract_to_h, cut_conflict_graph, double_cut_lp,
+                        is_double_cut, min_double_cut, path_edge_ids,
+                        prune_redundant, select_double_cut)
 from frugal.errors import DomainError, InputError, MonopolyError
 from frugal.graph import Graph
 from frugal.oracle import (brute_double_cut, canonical_double_cut_reference,
@@ -352,3 +353,12 @@ def test_cm_winners_cut_the_graph():
         for w in out.winners:
             assert out.payments[w] >= float(costs[w]) - 1e-9
         checked += 1
+
+
+def test_cut_vc_instances_have_no_isolated_agents():
+    # cm_run's outcomes do not depend on how ev_run treats an isolated
+    # agent as long as no bundle structure yields one.
+    for g, costs in tie_heavy_cut_instances(500, 500):
+        core, result = select_double_cut(g, costs)
+        bundles = contract_to_h(core, result.double_cut)
+        assert _cut_vc_instance(bundles).isolated == ()

@@ -59,13 +59,19 @@ def test_build_rejects_small_tot(triangle):
         build_vc_instance(triangle, {"a": Fraction(1, 2), "b": ONE, "c": ONE})
 
 
-def test_isolated_agents_win_free():
+def test_isolated_agents_lose_free():
+    # No minimal cover holds an isolated agent, so it loses and is paid
+    # 0. Its Tot is 0 (an empty neighbourhood), and that must not stop
+    # the instance from being built.
     g = Graph.build(["a", "b", "z"], [("e", "a", "b")], directed=False)
-    inst = build_vc_instance(g, {"a": ONE, "b": ONE, "z": ONE})
-    assert inst.isolated == ("z",)
-    out = ev_run(inst, {"a": ONE, "b": TWO, "z": Fraction(9)})
-    assert "z" in out.winners
-    assert out.payments["z"] == 0.0
+    for tot_z in (Fraction(0), ONE):
+        inst = build_vc_instance(g, {"a": ONE, "b": ONE, "z": tot_z})
+        assert inst.isolated == ("z",)
+        out = ev_run(inst, {"a": ONE, "b": TWO, "z": Fraction(9)})
+        assert out.winners == frozenset({"a"})
+        assert out.payments["z"] == 0.0
+        assert out.total_payment == pytest.approx(2.0)
+    assert build_vc_instance(g, {"a": ONE, "b": ONE}).isolated == ("z",)
 
 
 def test_triangle_auction(triangle):

@@ -271,3 +271,16 @@ def test_composability_of_pruning(three_flow):
         lowered[winner] = costs[winner] / 2
         h2 = prune_to_support(three_flow, lowered, 1)
         assert {e.id for e in h.edges} == {e.id for e in h2.edges}
+
+
+def test_flow_vc_instances_have_no_isolated_agents():
+    # fm_run's outcomes do not depend on how ev_run treats an isolated
+    # agent as long as no pruned support yields one.
+    rng = random.Random(500)
+    for _ in range(500):
+        k = rng.randint(1, 3)
+        g = random_flow_network(rng, k, rng.randint(1, 5))
+        costs = {e.id: Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                 for e in g.edges}
+        h = prune_to_support(g, costs, k)
+        assert vc_from_flow(h, k).isolated == ()

@@ -1,10 +1,18 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
+import frugal
 from frugal.errors import InputError, MonopolyError, ScaleError
 from frugal.graph import Graph
 from frugal.setsystems import (CUT, K_FLOW, VERTEX_COVER, SetSystem,
+                               _maximal_independent_sets,
                                cheapest_feasible_set,
                                fractional_clique_number,
                                neighborhood_subgraph, nu, tot, unit_costs)
@@ -177,7 +185,72 @@ def test_neighborhood_subgraph(star, triangle):
 
 
 def test_tot_equals_neighborhood_clique(star):
+    # tot is nu at the unit cost vector, but it solves only the
+    # neighbourhood LP; the whole-graph nu is the reference.
     sys = SetSystem(VERTEX_COVER, star)
     for v in star.vertices:
-        assert tot(sys, v) == fractional_clique_number(
-            neighborhood_subgraph(star, v))
+        expected = fractional_clique_number(neighborhood_subgraph(star, v))
+        assert nu(sys, unit_costs(sys, v)).value == expected
+        assert tot(sys, v) == expected
+
+
+def test_tot_of_isolated_vertex_is_zero():
+    g = Graph.build(["a", "b", "z"], [("e", "a", "b")], directed=False)
+    sys = vc(g)
+    assert tot(sys, "z") == 0 == nu(sys, unit_costs(sys, "z")).value
+    assert tot(sys, "a") == 1
+
+
+def as_graph(nxg, loops=()):
+    verts = [f"n{u}" for u in sorted(nxg.nodes)]
+    edges = [(f"e{u}_{v}", f"n{u}", f"n{v}")
+             for u, v in sorted(map(sorted, nxg.edges))]
+    edges += [(f"l{u}", f"n{u}", f"n{u}") for u in loops]
+    return Graph.build(verts, edges, directed=False)
+
+
+def networkx_independent_sets(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(g.vertices)
+    nxg.add_edges_from((e.tail, e.head) for e in g.edges if e.tail != e.head)
+    return sorted((frozenset(c) for c in nx.find_cliques(nx.complement(nxg))),
+                  key=lambda s: tuple(sorted(s)))
+
+
+def test_independent_sets_match_networkx_on_the_atlas():
+    atlas = nx.graph_atlas_g()
+    assert max(len(nxg) for nxg in atlas) == 7
+    for nxg in atlas:
+        g = as_graph(nxg)
+        assert _maximal_independent_sets(g) == networkx_independent_sets(g)
+
+
+def test_independent_sets_match_networkx_on_random_graphs():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        nxg = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(2**32))
+        loops = [u for u in range(n) if rng.random() < 0.2]
+        g = as_graph(nxg, loops)
+        assert _maximal_independent_sets(g) == networkx_independent_sets(g)
+
+
+def test_independent_sets_capped(monkeypatch):
+    # Two disjoint edges have four maximal independent sets.
+    g = Graph.build(["a", "b", "c", "d"], [("ab", "a", "b"), ("cd", "c", "d")],
+                    directed=False)
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "4")
+    assert len(_maximal_independent_sets(g)) == 4
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "3")
+    with pytest.raises(ScaleError):
+        _maximal_independent_sets(g)
+
+
+def test_import_leaves_networkx_unloaded():
+    src = str(Path(frugal.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, frugal.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "False"
