@@ -25,7 +25,8 @@ from typing import Optional
 
 from .errors import DomainError, InputError, MonopolyError
 from .eigen import AuctionOutcome, VcInstance, build_vc_instance, ev_run
-from .graph import Graph, enumerate_st_paths, reachable
+from .graph import (Edge, Graph, adjacency, components, enumerate_st_paths,
+                    reach)
 from .lp import GEQ, LEQ, LinearProgram, solve
 from .rational import integer_costs, is_finite
 
@@ -51,7 +52,7 @@ def _check_cut_input(g: Graph, costs: dict):
         if e.tail == g.source and e.head == g.sink:
             raise MonopolyError(f"edge {e.id!r} runs source to sink; "
                                 f"no agent may be in every cut")
-    if not reachable(g, g.source, g.sink):
+    if g.sink not in reach(adjacency(g.edges), g.source):
         raise DomainError("sink is unreachable; the cut system is trivial")
 
 
@@ -91,6 +92,9 @@ def is_double_cut(g: Graph, edge_ids: frozenset) -> bool:
 def _max_flow(g: Graph, costs: dict) -> dict:
     """Edmonds-Karp max flow with the costs as capacities."""
     f = {e.id: 0 for e in g.edges}
+    into: dict[str, list[Edge]] = {}
+    for e in g.edges:
+        into.setdefault(e.head, []).append(e)
     while True:
         pred = {}
         seen = {g.source}
@@ -102,8 +106,8 @@ def _max_flow(g: Graph, costs: dict) -> dict:
                     seen.add(e.head)
                     pred[e.head] = (e.id, True)
                     dq.append(e.head)
-            for e in g.edges:
-                if e.head == v and e.tail not in seen and f[e.id] > 0:
+            for e in into.get(v, ()):
+                if e.tail not in seen and f[e.id] > 0:
                     seen.add(e.tail)
                     pred[e.tail] = (e.id, False)
                     dq.append(e.tail)
@@ -237,29 +241,14 @@ def _cut_candidates(g: Graph, costs, f, r):
                   if r[eid] > 0 and (d(g.edge_by_id[eid].tail) is None
                                      or d(g.edge_by_id[eid].tail) > 0)]
     if relief_far:
-        adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-        for a, b, *_ in arcs:
-            adj[a].append(b)
-
-        def reach_set(start, skip_sink_exits=False):
-            seen = {start}
-            dq = deque([start])
-            while dq:
-                v = dq.popleft()
-                if skip_sink_exits and v == g.sink:
-                    continue
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        dq.append(w)
-            return seen
-
-        to_sink = {v for v in g.vertices if g.sink in reach_set(v)}
+        arc_edges = [Edge(eid, a, b) for a, b, eid, _, _ in arcs]
+        to_sink = reach(adjacency(arc_edges, reverse=True), g.sink)
+        # Vertices on a head-to-sink path; walks may not leave the sink,
+        # else cycles through t pollute the set.
+        no_exit = {**adjacency(arc_edges), g.sink: ()}
         u_set = set()
         for e in relief_far:
-            # Vertices on a head-to-sink path; walks may not revisit
-            # the sink, else cycles through t pollute the set.
-            u_set |= reach_set(e.head, skip_sink_exits=True) & to_sink
+            u_set |= reach(no_exit, e.head) & to_sink
         s2_bar = set()
         for y in sorted(g.vertices):
             dy, _ = _shortest_by_length(arcs, g.vertices, y)
@@ -426,22 +415,6 @@ class BundleStructure:
         return {v: (left, right) for v, left, right in self.bundles}
 
 
-def _directed_reach(edges, start: str, forward: bool) -> set:
-    adj: dict[str, list[str]] = {}
-    for e in edges:
-        a, b = (e.tail, e.head) if forward else (e.head, e.tail)
-        adj.setdefault(a, []).append(b)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
     """Collapse everything outside d and classify the d edges into
     source-side and sink-side bundles.
@@ -462,44 +435,27 @@ def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
         raise InputError(f"unknown edge ids: {sorted(unknown)}")
     s, t = g.source, g.sink
     residual = [e for e in g.edges if e.id not in d]
-    s_block = _directed_reach(residual, s, forward=True)
-    t_block = _directed_reach(residual, t, forward=False)
+    s_block = reach(adjacency(residual), s)
+    t_block = reach(adjacency(residual, reverse=True), t)
     if s_block & t_block:
         raise DomainError("an s-t path avoids the edge set entirely; "
                           "it is not a double cut")
 
-    # Union non-d edges among the leftover vertices into middle blocks,
-    # named by their smallest member.
-    parent = {v: v for v in g.vertices if v not in s_block | t_block}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in residual:
-        if e.tail in parent and e.head in parent:
-            ra, rb = find(e.tail), find(e.head)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[str, list[str]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    name = {root: min(members) for root, members in groups.items()}
-
-    def block(v):
-        if v in s_block:
-            return s
-        if v in t_block:
-            return t
-        return name[find(v)]
+    # Non-d edges among the leftover vertices join them into middle
+    # blocks, each named by its smallest member.
+    block = {v: s for v in s_block}
+    block.update((v, t) for v in t_block)
+    leftover = [v for v in g.vertices if v not in block]
+    for comp in components(leftover, [(e.tail, e.head) for e in residual
+                                      if e.tail not in block
+                                      and e.head not in block]):
+        block.update((v, comp[0]) for v in comp)
 
     sides: dict[str, tuple[list, list]] = {}
     h_edges = []
     for eid in sorted(d):
         e = g.edge_by_id[eid]
-        tail, head = block(e.tail), block(e.head)
+        tail, head = block[e.tail], block[e.head]
         h_edges.append((e.id, tail, head))
         if tail == head:
             raise DomainError(f"edge {e.id!r} lies inside a contracted block; "
@@ -593,11 +549,10 @@ def _cut_vc_instance(bundles: BundleStructure) -> VcInstance:
 
 def path_edge_ids(g: Graph) -> frozenset:
     """Edges lying on at least one s-t path."""
-    on_path = set()
-    for e in g.edges:
-        if reachable(g, g.source, e.tail) and reachable(g, e.head, g.sink):
-            on_path.add(e.id)
-    return frozenset(on_path)
+    from_s = reach(adjacency(g.edges), g.source)
+    to_t = reach(adjacency(g.edges, reverse=True), g.sink)
+    return frozenset(e.id for e in g.edges
+                     if e.tail in from_s and e.head in to_t)
 
 
 def _selection_threshold(core: Graph, costs: dict, agent: str):

@@ -13,7 +13,6 @@ quantities stay rational elsewhere, so payments here are floats.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Protocol
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import caps
 from .errors import DomainError, InputError, ScaleError
-from .graph import Graph
+from .graph import Graph, components
 
 EIGEN_RESIDUAL_TOL = 1e-12
 RAYLEIGH_TOL = 1e-14
@@ -77,31 +76,6 @@ class AuctionOutcome:
     payments: dict  # agent -> float; losers carry 0.0
     total_payment: float
     diagnostics: dict = field(default_factory=dict)
-
-
-def _connected_components(g: Graph) -> list[list[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        if e.tail != e.head:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-    seen: set[str] = set()
-    comps = []
-    for v in sorted(g.vertices):
-        if v in seen:
-            continue
-        comp = []
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _component_eigenpair(agents: list[str], adj: set[tuple[str, str]],
@@ -237,9 +211,9 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
     if any(e.tail == e.head for e in conflict_graph.edges):
         raise InputError("conflict graph must have no self-loops")
 
-    isolated = tuple(sorted(v for v in conflict_graph.vertices
-                            if not conflict_graph.neighbors(v)))
-    live = tuple(sorted(set(conflict_graph.vertices) - set(isolated)))
+    touched = {v for e in conflict_graph.edges for v in (e.tail, e.head)}
+    isolated = tuple(sorted(set(conflict_graph.vertices) - touched))
+    live = tuple(sorted(touched))
     for v in live:
         if v not in tot:
             raise InputError(f"missing Tot value for agent {v!r}")
@@ -249,7 +223,7 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
 
     adj = {tuple(sorted((e.tail, e.head))) for e in stripped.edges}
     comps = []
-    for agents in _connected_components(stripped):
+    for agents in components(live, adj):
         agent_set = set(agents)
         local_adj = {pair for pair in adj if pair[0] in agent_set}
         comps.append(_component_eigenpair(agents, local_adj, tot))

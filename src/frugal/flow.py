@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import caps
 from .errors import DomainError, InputError, MonopolyError, ScaleError
 from .eigen import AuctionOutcome, VcInstance, build_vc_instance, ev_run
-from .graph import Graph, enumerate_st_paths, reachable
+from .graph import Graph, adjacency, enumerate_st_paths, reach
 from .rational import integer_costs, is_finite
 
 
@@ -144,30 +144,19 @@ def prune_to_support(g: Graph, costs: dict, k: int) -> Graph:
     return g.subgraph_edges(result.support)
 
 
-def decompose_paths(g: Graph, k: int, reverse: bool = False) -> list[list[str]]:
+def decompose_paths(g: Graph, k: int) -> list[list[str]]:
     """Partition g's edges into k edge-disjoint simple s-t paths.
 
-    Backtracking search; `reverse` flips the edge exploration order
-    (useful for checking decomposition independence). DomainError when
-    no such partition exists.
+    Backtracking search. DomainError when no such partition exists.
     """
     remaining = {e.id for e in g.edges}
     paths: list[list[str]] = []
 
-    def out_order(v):
-        es = [e for e in g.out_edges(v) if e.id in remaining]
-        return list(reversed(es)) if reverse else es
-
     def walk(v, visited, trail):
         if v == g.sink:
-            if finish(list(trail)):
-                return True
-            # A path may also continue through the sink? No: simple
-            # s-t paths end at t. Fall through to try longer... t has
-            # no continuation by definition here.
-            return False
-        for e in out_order(v):
-            if e.head in visited:
+            return finish(list(trail))
+        for e in g.out_edges(v):
+            if e.id not in remaining or e.head in visited:
                 continue
             remaining.discard(e.id)
             trail.append(e.id)
@@ -205,10 +194,12 @@ def conflict_graph(h: Graph) -> Graph:
     """Edges of h become vertices; two conflict when no k-flow can use
     both, i.e. neither one's head reaches the other's tail in h."""
     ids = sorted(e.id for e in h.edges)
+    adj = adjacency(h.edges)
+    reached = {v: reach(adj, v) for v in h.vertices}
     edges = []
     for a, b in itertools.combinations(ids, 2):
         ea, eb = h.edge_by_id[a], h.edge_by_id[b]
-        if not reachable(h, ea.head, eb.tail) and not reachable(h, eb.head, ea.tail):
+        if eb.tail not in reached[ea.head] and ea.tail not in reached[eb.head]:
             edges.append((f"{a}|{b}", a, b))
     return Graph.build(ids, edges, directed=False)
 

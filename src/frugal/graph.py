@@ -1,20 +1,26 @@
-"""Exact multigraph representation and the path/reachability primitives
-used by every mechanism.
+"""Exact multigraph representation and the graph-traversal layer used
+by every mechanism.
 
 Graphs are immutable after construction. Parallel edges are permitted
 (and required: contraction produces parallel edge groups), and each
 edge carries a stable unique id.
+
+The traversal layer is three functions: `adjacency` builds a successor
+(or predecessor) map, `reach` returns everything a vertex reaches in
+such a map, and `components` returns undirected connected components.
+Every reachability question in the package goes through them. Their
+state lives for one call; nothing is cached on `Graph`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .caps import PATH_CAP, cap
+from .caps import COVER_AGENT_CAP, PATH_CAP, cap
 from .errors import InputError, ScaleError
 from .rational import format_rational, parse_rational
 
@@ -100,51 +106,6 @@ class Graph:
                      self.source, self.sink)
 
 
-VertexMap = dict  # original vertex id -> super-vertex id
-
-
-def contract_edges(g: Graph, keep: set[str]) -> tuple[Graph, VertexMap]:
-    """Contract every edge NOT in `keep`, merging its endpoints.
-
-    Kept edges retain their ids; self-loops among kept edges are
-    retained so callers can detect structural violations explicitly.
-    Super-vertices are named by their smallest original member id.
-    """
-    unknown = set(keep) - set(g.edge_by_id)
-    if unknown:
-        raise InputError(f"unknown edge ids: {sorted(unknown)}")
-
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in g.edges:
-        if e.id not in keep:
-            ra, rb = find(e.tail), find(e.head)
-            if ra != rb:
-                parent[rb] = ra
-
-    blocks: dict[str, list[str]] = {}
-    for v in g.vertices:
-        blocks.setdefault(find(v), []).append(v)
-    name = {root: min(members) for root, members in blocks.items()}
-    vmap = {v: name[find(v)] for v in g.vertices}
-
-    new_edges = tuple(Edge(e.id, vmap[e.tail], vmap[e.head])
-                      for e in g.edges if e.id in keep)
-    new_vertices = tuple(sorted(set(vmap.values())))
-    src = vmap[g.source] if g.source is not None else None
-    snk = vmap[g.sink] if g.sink is not None else None
-    if src is not None and src == snk:
-        raise InputError("contraction merged source and sink")
-    contracted = Graph(new_vertices, new_edges, g.directed, src, snk)
-    return contracted, vmap
-
-
 def enumerate_st_paths(g: Graph, path_cap: int | None = None) -> list[list[str]]:
     """All simple directed s-t paths as ordered edge-id lists.
 
@@ -177,23 +138,70 @@ def enumerate_st_paths(g: Graph, path_cap: int | None = None) -> list[list[str]]
     return paths
 
 
+def st_cut_crossings(g: Graph):
+    """Yield, for every vertex set S holding s but not t, the ids of the
+    edges leaving S. The sets come in order of size, then
+    lexicographically on the sorted inner vertices. Raises ScaleError
+    beyond the configured cap on inner vertices."""
+    inner = sorted(v for v in g.vertices if v not in (g.source, g.sink))
+    limit = cap(COVER_AGENT_CAP)
+    if len(inner) > limit:
+        raise ScaleError(f"cut enumeration capped at {limit} inner vertices")
+    for r in range(len(inner) + 1):
+        for combo in itertools.combinations(inner, r):
+            side = {g.source, *combo}
+            yield frozenset(e.id for e in g.edges
+                            if e.tail in side and e.head not in side)
+
+
+def adjacency(edges: Iterable, reverse: bool = False) -> dict[str, list[str]]:
+    """Successor map of directed edges (anything with .tail and .head),
+    or the predecessor map when `reverse` is set. Vertices without an
+    outgoing arc are absent."""
+    adj: dict[str, list[str]] = {}
+    for e in edges:
+        a, b = (e.head, e.tail) if reverse else (e.tail, e.head)
+        adj.setdefault(a, []).append(b)
+    return adj
+
+
+def reach(adj: dict, start: str) -> set[str]:
+    """Every vertex reachable from `start` in the map, `start` included."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in adj.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def components(vertices: Iterable[str],
+               pairs: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """Connected components of the undirected graph on `vertices` with
+    the given (u, v) pairs as edges. Each component is sorted, and the
+    list is ordered by each component's smallest vertex."""
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set[str] = set()
+    comps = []
+    for v in sorted(adj):
+        if v not in seen:
+            comp = reach(adj, v)
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
+
+
 def reachable(g: Graph, a: str, b: str) -> bool:
-    """True iff a directed path from a to b exists (a reaches itself)."""
+    """True iff a directed path from a to b exists (a reaches itself;
+    undirected edges run both ways)."""
     if a not in g._out or b not in g._out:
-        raise InputError(f"unknown vertex in reachability query")
-    if a == b:
-        return True
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        for e in g.out_edges(v):
-            if e.head not in seen:
-                if e.head == b:
-                    return True
-                seen.add(e.head)
-                queue.append(e.head)
-    return False
+        raise InputError("unknown vertex in reachability query")
+    return b in reach(adjacency(e for es in g._out.values() for e in es), a)
 
 
 def graph_from_json(data: dict) -> tuple[Graph, Optional[dict]]:

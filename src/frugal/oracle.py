@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Optional
 from . import caps
 from .cut import DoubleCutResult, double_cut_lp, min_double_cut
 from .eigen import AuctionOutcome
-from .errors import DomainError, ScaleError
-from .graph import Graph, enumerate_st_paths
+from .errors import DomainError
+from .graph import Graph, enumerate_st_paths, reachable, st_cut_crossings
 
 Mechanism = Callable[[dict], AuctionOutcome]
 
@@ -81,16 +81,7 @@ def brute_conflict_pairs(h: Graph) -> frozenset:
     Two edges of a (k+1)-flow graph conflict exactly when some minimum
     cardinality s-t cut contains both. Enumerates all vertex
     bipartitions, so strictly for small graphs."""
-    inner = sorted(v for v in h.vertices if v not in (h.source, h.sink))
-    if 2 ** len(inner) > caps.cap(caps.SUBSET_CAP):
-        raise ScaleError("cut enumeration cap exceeded")
-    crossings = []
-    for r in range(len(inner) + 1):
-        for combo in itertools.combinations(inner, r):
-            side = {h.source, *combo}
-            cross = frozenset(e.id for e in h.edges
-                              if e.tail in side and e.head not in side)
-            crossings.append(cross)
+    crossings = list(st_cut_crossings(h))
     min_size = min(len(c) for c in crossings)
     pairs = set()
     for cross in crossings:
@@ -309,7 +300,6 @@ def random_cut_network(rng: random.Random, n: int,
             g = Graph.build(g.vertices, edges, True, "s", "t")
         except Exception:
             continue
-        from .graph import reachable
         if reachable(g, "s", "t"):
             return g
 

@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Rational = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Parse a JSON-level value ("p/q" string, int, or float) exactly."""

@@ -16,7 +16,6 @@ alone, as its fractional clique number.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +23,7 @@ from typing import Optional
 
 from . import caps
 from .errors import DomainError, InputError, MonopolyError, ScaleError
-from .graph import Graph, enumerate_st_paths
+from .graph import Graph, enumerate_st_paths, st_cut_crossings
 from .lp import LEQ, LinearProgram, solve
 
 VERTEX_COVER = "vertex-cover"
@@ -161,17 +160,7 @@ def _minimal_k_flows(g: Graph, k: int) -> list[frozenset]:
 
 
 def _minimal_cuts(g: Graph) -> list[frozenset]:
-    inner = sorted(v for v in g.vertices if v not in (g.source, g.sink))
-    if len(inner) > caps.cap(caps.COVER_AGENT_CAP):
-        raise ScaleError("cut enumeration capped")
-    crossings: set[frozenset] = set()
-    for r in range(len(inner) + 1):
-        for combo in itertools.combinations(inner, r):
-            side = {g.source, *combo}
-            cross = frozenset(e.id for e in g.edges
-                              if e.tail in side and e.head not in side)
-            crossings.add(cross)
-    return _minimal_only(crossings)
+    return _minimal_only(set(st_cut_crossings(g)))
 
 
 def _minimal_only(sets) -> list[frozenset]:

@@ -9,9 +9,10 @@ from frugal.cut import (CutCoverSolver, _cut_vc_instance, cm_run,
                         is_double_cut, min_double_cut, path_edge_ids,
                         prune_redundant, select_double_cut)
 from frugal.errors import DomainError, InputError, MonopolyError
-from frugal.graph import Graph
+from frugal.graph import Graph, reachable
 from frugal.oracle import (brute_double_cut, canonical_double_cut_reference,
-                           random_costs, random_cut_network)
+                           random_costs, random_cut_network,
+                           random_flow_network)
 
 F = Fraction
 
@@ -231,7 +232,6 @@ def test_cm_run_survives_backward_merge():
     survivors = [(e.id, e.tail, e.head) for e in g.edges
                  if e.id not in out.winners]
     leftover = Graph.build(g.vertices, survivors, True, "s", "t")
-    from frugal.graph import reachable
     assert not reachable(leftover, "s", "t")
 
 
@@ -335,6 +335,20 @@ def test_path_edge_ids(path_graph):
     assert path_edge_ids(g) == frozenset({"sa", "ab", "bt"})
 
 
+def test_path_edge_ids_matches_per_edge_rule():
+    # Cut networks are DAGs; flow networks' shortcuts add cycles.
+    rng = random.Random(61)
+    graphs = [random_cut_network(rng, rng.randint(3, 10), rng.randint(2, 24))
+              for _ in range(300)]
+    graphs += [random_flow_network(rng, rng.randint(1, 3), rng.randint(0, 6))
+               for _ in range(100)]
+    for g in graphs:
+        expected = {e.id for e in g.edges
+                    if reachable(g, g.source, e.tail)
+                    and reachable(g, e.head, g.sink)}
+        assert path_edge_ids(g) == expected
+
+
 def test_cm_winners_cut_the_graph():
     rng = random.Random(55)
     checked = 0
@@ -348,7 +362,6 @@ def test_cm_winners_cut_the_graph():
         survivors = [(e.id, e.tail, e.head) for e in g.edges
                      if e.id not in out.winners]
         leftover = Graph.build(g.vertices, survivors, True, "s", "t")
-        from frugal.graph import reachable
         assert not reachable(leftover, "s", "t")
         for w in out.winners:
             assert out.payments[w] >= float(costs[w]) - 1e-9

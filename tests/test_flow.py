@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 import signal
 from fractions import Fraction
@@ -9,7 +10,7 @@ from frugal.errors import DomainError, InputError, MonopolyError
 from frugal.flow import (FlowCoverSolver, conflict_graph, decompose_paths,
                          fm_run, min_cost_flow, nu_flow_fast,
                          prune_to_support, vc_from_flow)
-from frugal.graph import Graph
+from frugal.graph import Graph, reachable
 from frugal.oracle import random_costs, random_flow_network
 from frugal.setsystems import K_FLOW, SetSystem, nu, tot, unit_costs
 
@@ -139,8 +140,6 @@ def test_prune_monopoly(path_graph, path_costs):
 def test_decompose_three_flow(three_flow):
     paths = decompose_paths(three_flow, 3)
     assert sorted(map(sorted, paths)) == [["u"], ["v", "x"], ["w", "y"]]
-    rev = decompose_paths(three_flow, 3, reverse=True)
-    assert sorted(map(sorted, rev)) == sorted(map(sorted, paths))
 
 
 def test_decompose_rejects_leftovers(three_flow):
@@ -159,6 +158,24 @@ def test_conflict_graph_parallel_edges():
     g, _ = parallel({"e1": 0, "e2": 0})
     cg = conflict_graph(g)
     assert len(cg.edges) == 1
+
+
+def test_conflict_graph_matches_pairwise_rule():
+    rng = random.Random(62)
+    for i in range(300):
+        k = 1 + i % 3
+        g = random_flow_network(rng, k, rng.randint(0, 5))
+        costs = random_costs(rng, [e.id for e in g.edges])
+        h = prune_to_support(g, costs, k)
+        expected = set()
+        for a, b in itertools.combinations(sorted(e.id for e in h.edges), 2):
+            ea, eb = h.edge_by_id[a], h.edge_by_id[b]
+            if (not reachable(h, ea.head, eb.tail)
+                    and not reachable(h, eb.head, ea.tail)):
+                expected.add((a, b))
+        cg = conflict_graph(h)
+        assert {(e.tail, e.head) for e in cg.edges} == expected
+        assert cg.vertices == tuple(sorted(e.id for e in h.edges))
 
 
 def test_flow_tot_is_k(three_flow):

@@ -1,11 +1,14 @@
 import json
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from frugal.errors import InputError, ScaleError
-from frugal.graph import (Edge, Graph, contract_edges, enumerate_st_paths,
-                          graph_from_json, graph_to_json, reachable)
+from frugal.graph import (Edge, Graph, adjacency, components,
+                          enumerate_st_paths, graph_from_json, graph_to_json,
+                          reach, reachable, st_cut_crossings)
 
 
 def test_duplicate_vertex_rejected():
@@ -64,30 +67,69 @@ def test_reachable(path_graph):
     assert not reachable(path_graph, "t", "s")
 
 
-def test_contract_names_block_by_min_member(path_graph):
-    contracted, vmap = contract_edges(path_graph, {"sa", "bt"})
-    assert vmap["a"] == vmap["b"] == "a"
-    assert set(contracted.vertices) == {"s", "a", "t"}
-    assert {e.id for e in contracted.edges} == {"sa", "bt"}
-    assert contracted.source == "s" and contracted.sink == "t"
+def test_reachable_undirected_goes_both_ways():
+    g = Graph.build(["a", "b", "c"], [("ab", "a", "b"), ("cb", "c", "b")],
+                    directed=False)
+    assert reachable(g, "a", "c") and reachable(g, "c", "a")
 
 
-def test_contract_keeps_self_loops():
-    g = Graph.build(["a", "b", "c"],
-                    [("ab", "a", "b"), ("ba", "b", "a"), ("bc", "b", "c")])
-    contracted, _ = contract_edges(g, {"ab", "bc"})
-    loop = contracted.edge_by_id["ab"]
-    assert loop.tail == loop.head
-
-
-def test_contract_refuses_to_merge_terminals(path_graph):
+def test_reachable_unknown_vertex(path_graph):
     with pytest.raises(InputError):
-        contract_edges(path_graph, set())
+        reachable(path_graph, "s", "nope")
 
 
-def test_contract_unknown_edge(path_graph):
-    with pytest.raises(InputError):
-        contract_edges(path_graph, {"nope"})
+def random_multigraphs(count, seed):
+    """Seeded random multigraphs with parallel edges, self-loops and
+    (usually) isolated vertices, as (vertices, edges)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 10))]
+        rng.shuffle(vertices)
+        edges = [Edge(f"e{j}", rng.choice(vertices), rng.choice(vertices))
+                 for j in range(rng.randint(0, 14))]
+        if rng.random() < 0.3 and edges:
+            edges.append(Edge("dup", edges[0].tail, edges[0].head))
+        yield vertices, edges
+
+
+def test_reach_matches_networkx():
+    for vertices, edges in random_multigraphs(300, 11):
+        g = nx.MultiDiGraph()
+        g.add_nodes_from(vertices)
+        g.add_edges_from((e.tail, e.head) for e in edges)
+        succ, pred = adjacency(edges), adjacency(edges, reverse=True)
+        for v in vertices:
+            assert reach(succ, v) == nx.descendants(g, v) | {v}
+            assert reach(pred, v) == nx.ancestors(g, v) | {v}
+
+
+def test_adjacency_keeps_parallel_arcs_and_omits_sinks():
+    edges = [Edge("x", "a", "b"), Edge("y", "a", "b"), Edge("z", "b", "b")]
+    assert adjacency(edges) == {"a": ["b", "b"], "b": ["b"]}
+    assert adjacency(edges, reverse=True) == {"b": ["a", "a", "b"]}
+
+
+def test_components_match_networkx_in_smallest_vertex_order():
+    for vertices, edges in random_multigraphs(300, 12):
+        g = nx.MultiGraph()
+        g.add_nodes_from(vertices)
+        g.add_edges_from((e.tail, e.head) for e in edges)
+        # Sorted components, ordered by their smallest vertex.
+        expected = sorted(sorted(c) for c in nx.connected_components(g))
+        pairs = [(e.tail, e.head) for e in edges]
+        assert components(vertices, pairs) == expected
+
+
+def test_st_cut_crossings(path_graph):
+    assert list(st_cut_crossings(path_graph)) == [
+        frozenset({"sa"}), frozenset({"ab"}), frozenset({"sa", "bt"}),
+        frozenset({"bt"})]
+
+
+def test_st_cut_crossings_cap(monkeypatch, path_graph):
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "1")
+    with pytest.raises(ScaleError):
+        list(st_cut_crossings(path_graph))
 
 
 def test_subgraph_edges_keeps_terminals(three_flow):
