@@ -11,7 +11,10 @@ The double cut itself comes from a primal-dual relief-flow algorithm
 (a Ford-Fulkerson extension where saturated edges can still carry flow
 at a price), certified optimal by weak duality against the exact dual
 objective, with an exact LP fallback. Every solve runs on the costs'
-exact integer images (see `rational.integer_costs`).
+exact integer images (see `rational.integer_costs`). Inputs are checked
+where they enter: `min_double_cut` checks the network and each cost as
+it converts them, and `select_double_cut` the edges off every s-t
+path, so `cm_run` rejects a missing, negative or non-finite bid.
 """
 
 from __future__ import annotations
@@ -24,31 +27,20 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, InputError, MonopolyError
-from .eigen import AuctionOutcome, VcInstance, build_vc_instance, ev_run
-from .graph import (Edge, Graph, adjacency, components, enumerate_st_paths,
-                    reach)
+from .eigen import AuctionOutcome, VcInstance, build_vc_instance, reduced_run
+from .graph import (Edge, Graph, adjacency, check_network, components,
+                    enumerate_st_paths, path_labels, reach, shortest_paths)
 from .lp import GEQ, LEQ, LinearProgram, solve
-from .rational import integer_costs, is_finite
+from .rational import integer_costs
 
 MAX_RELIEF_ITERATIONS = 10_000
 
 ZERO = Fraction(0)
 
 
-def _check_cut_input(g: Graph, costs: dict):
-    if not g.directed:
-        raise InputError("cut auctions need a directed graph")
-    if g.source is None or g.sink is None:
-        raise InputError("cut auctions need designated s, t")
+def _check_cut_input(g: Graph):
+    check_network(g)
     for e in g.edges:
-        if e.id not in costs:
-            raise InputError(f"missing cost for edge {e.id!r}")
-        if not is_finite(costs[e.id]):
-            raise InputError(f"non-finite cost for edge {e.id!r}")
-        if costs[e.id] < 0:
-            raise InputError(f"negative cost for edge {e.id!r}")
-        if e.tail == e.head:
-            raise InputError(f"self-loop {e.id!r} not allowed")
         if e.tail == g.source and e.head == g.sink:
             raise MonopolyError(f"edge {e.id!r} runs source to sink; "
                                 f"no agent may be in every cut")
@@ -127,53 +119,28 @@ def _max_flow(g: Graph, costs: dict) -> dict:
 
 
 def _residual_arcs(g: Graph, costs, f, r):
-    """Arcs of the relief residual graph with their lengths.
+    """Arcs of the relief residual graph, weighted (length, 1) so that
+    length ties go to fewer hops, labelled (edge id, forward?).
 
     Forward arcs always exist (saturated edges have length 1);
     backward arcs exist for flow-carrying edges (length -1 when the
-    edge holds positive relief)."""
-    arcs = []  # (tail, head, eid, forward, length)
+    edge holds positive relief). No residual graph in this algorithm
+    has a cycle of negative total length."""
+    arcs = []
     for e in sorted(g.edges, key=lambda e: e.id):
         saturated = f[e.id] == costs[e.id] + r[e.id]
-        arcs.append((e.tail, e.head, e.id, True, 1 if saturated else 0))
+        arcs.append((e.tail, e.head, (1 if saturated else 0, 1), (e.id, True)))
         if f[e.id] > 0:
-            arcs.append((e.head, e.tail, e.id, False, -1 if r[e.id] > 0 else 0))
+            arcs.append((e.head, e.tail, (-1 if r[e.id] > 0 else 0, 1),
+                         (e.id, False)))
     return arcs
-
-
-def _shortest_by_length(arcs, vertices, src):
-    """Bellman-Ford under lexicographic (length, hop count) weights.
-
-    Safe because no residual graph in this algorithm has a cycle of
-    negative total length. Returns (dist, pred)."""
-    dist = {v: None for v in vertices}
-    dist[src] = (0, 0)
-    pred = {}
-    for _ in range(len(vertices)):
-        changed = False
-        for tail, head, eid, fwd, length in arcs:
-            if dist[tail] is None:
-                continue
-            cand = (dist[tail][0] + length, dist[tail][1] + 1)
-            if dist[head] is None or cand < dist[head]:
-                dist[head] = cand
-                pred[head] = (eid, fwd, tail)
-                changed = True
-        if not changed:
-            return dist, pred
-    raise DomainError("negative cycle in relief residual graph")
 
 
 def _augment(g: Graph, costs, f, r, pred) -> None:
     """Push flow along the predecessor path, adding relief on saturated
     edges and draining it on backward edges, up to the first event that
     lengthens the path (new saturation or relief hitting zero)."""
-    path = []
-    v = g.sink
-    while v != g.source:
-        eid, fwd, tail = pred[v]
-        path.append((eid, fwd))
-        v = tail
+    path = path_labels(pred, g.source, g.sink)
     bounds = []
     for eid, fwd in path:
         if fwd:
@@ -210,7 +177,7 @@ def _relief_flow(g: Graph, costs):
     r = {e.id: 0 for e in g.edges}
     for _ in range(MAX_RELIEF_ITERATIONS):
         arcs = _residual_arcs(g, costs, f, r)
-        dist, pred = _shortest_by_length(arcs, g.vertices, g.source)
+        dist, pred = shortest_paths(g.vertices, arcs, g.source)
         if dist[g.sink] is None or dist[g.sink][0] > 1:
             return f, r
         _augment(g, costs, f, r, pred)
@@ -225,10 +192,10 @@ def _cut_candidates(g: Graph, costs, f, r):
     the set of vertices that reach, at length <= 0, a vertex between a
     positive-distance relief edge and the sink; the simpler backstop is
     the distance <= 1 threshold."""
-    arcs = [(a, b, eid, fwd, ln)
-            for a, b, eid, fwd, ln in _residual_arcs(g, costs, f, r)
+    arcs = [(a, b, w, (eid, fwd))
+            for a, b, w, (eid, fwd) in _residual_arcs(g, costs, f, r)
             if not (fwd and f[eid] == 0)]
-    dist, _ = _shortest_by_length(arcs, g.vertices, g.source)
+    dist, _ = shortest_paths(g.vertices, arcs, g.source)
 
     def d(v):
         return dist[v][0] if dist[v] is not None else None
@@ -241,7 +208,7 @@ def _cut_candidates(g: Graph, costs, f, r):
                   if r[eid] > 0 and (d(g.edge_by_id[eid].tail) is None
                                      or d(g.edge_by_id[eid].tail) > 0)]
     if relief_far:
-        arc_edges = [Edge(eid, a, b) for a, b, eid, _, _ in arcs]
+        arc_edges = [Edge(eid, a, b) for a, b, _, (eid, _) in arcs]
         to_sink = reach(adjacency(arc_edges, reverse=True), g.sink)
         # Vertices on a head-to-sink path; walks may not leave the sink,
         # else cycles through t pollute the set.
@@ -251,7 +218,7 @@ def _cut_candidates(g: Graph, costs, f, r):
             u_set |= reach(no_exit, e.head) & to_sink
         s2_bar = set()
         for y in sorted(g.vertices):
-            dy, _ = _shortest_by_length(arcs, g.vertices, y)
+            dy, _ = shortest_paths(g.vertices, arcs, y)
             if any(dy[w] is not None and dy[w][0] <= 0 for w in u_set):
                 s2_bar.add(y)
         candidates.append((s1, frozenset(set(g.vertices) - s2_bar)))
@@ -347,9 +314,9 @@ def min_double_cut(g: Graph, costs: dict,
     inclusion-minimal. The result reports cost and dual objective in
     original units; flow value and relief total exist only in perturbed
     units and are left None."""
-    _check_cut_input(g, costs)
+    _check_cut_input(g)
     order = sorted(e.id for e in g.edges)
-    scale, exact = integer_costs({eid: costs[eid] for eid in order})
+    scale, exact = integer_costs({eid: costs.get(eid) for eid in order})
     if not canonical:
         r = _min_double_cut_any(g, exact)
         return DoubleCutResult(
@@ -575,8 +542,10 @@ def select_double_cut(g: Graph, costs: dict) -> tuple[Graph, DoubleCutResult]:
 
     The canonical minimum double cut of the path core (the subgraph of
     edges on some s-t path); it is inclusion-minimal as it stands.
-    Returns (core, the solve's DoubleCutResult)."""
-    _check_cut_input(g, costs)
+    Returns (core, the solve's DoubleCutResult). The solve checks the
+    core, and this the rest of g."""
+    check_network(g)
+    integer_costs({e.id: costs.get(e.id) for e in g.edges})
     core = g.subgraph_edges(path_edge_ids(g))
     return core, min_double_cut(core, costs, canonical=True)
 
@@ -584,28 +553,17 @@ def select_double_cut(g: Graph, costs: dict) -> tuple[Graph, DoubleCutResult]:
 def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
     """Run the full cut auction: buy a double cut, collapse to bundles,
     then hold the eigenvector cover auction. Winners form an s-t cut;
-    edges outside the double cut lose at price 0.
+    edges outside the double cut lose at price 0. A winner's payment is
+    capped by the highest bid at which it stays in the selected double
+    cut.
 
     The auction happens on the subgraph of edges lying on some s-t
     path. Off-path edges can't appear in a minimal cut, and contracting
     them would spuriously merge blocks through edges no path uses."""
     core, result = select_double_cut(g, costs)
     d = result.double_cut
-    bundles = contract_to_h(core, d)
-    inst = _cut_vc_instance(bundles)
-    bids = {eid: costs[eid] for eid in d}
-    outcome = ev_run(inst, bids)
-    payments = {e.id: 0.0 for e in g.edges}
-    payments.update(outcome.payments)
-    # A winner's threshold is the smaller of two exits: losing the
-    # cover auction inside the bundles, or bidding itself out of the
-    # selected double cut. Cap each payment by the latter.
-    for winner in outcome.winners:
-        tau = _selection_threshold(core, costs, winner)
-        if tau is not None:
-            payments[winner] = min(payments[winner], float(tau))
-    diagnostics = dict(outcome.diagnostics)
-    diagnostics["double_cut"] = sorted(d)
-    diagnostics["double_cut_method"] = result.method
-    total = sum(payments[w] for w in sorted(outcome.winners))
-    return AuctionOutcome(outcome.winners, payments, total, diagnostics)
+    return reduced_run(_cut_vc_instance(contract_to_h(core, d)), costs,
+                       (e.id for e in g.edges),
+                       lambda w: _selection_threshold(core, costs, w),
+                       {"double_cut": sorted(d),
+                        "double_cut_method": result.method})

@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 import numpy as np
 
 from . import caps
 from .errors import DomainError, InputError, ScaleError
 from .graph import Graph, components
+from .rational import integer_costs
 
 EIGEN_RESIDUAL_TOL = 1e-12
 RAYLEIGH_TOL = 1e-14
@@ -233,15 +234,12 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
 
 
 def scaled_costs(inst: VcInstance, bids: dict) -> dict:
+    """Each agent's bid divided by its eigenvector entry. The bids pass
+    the package's one cost rule first: a missing, non-finite or
+    negative bid is an InputError."""
+    integer_costs({a: bids.get(a) for a in inst.agents})
     q = inst.q
-    out = {}
-    for a in inst.agents:
-        if a not in bids:
-            raise InputError(f"missing bid for agent {a!r}")
-        if bids[a] < 0:
-            raise InputError(f"negative bid for agent {a!r}")
-        out[a] = float(bids[a]) / q[a]
-    return out
+    return {a: float(bids[a]) / q[a] for a in inst.agents}
 
 
 def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
@@ -265,6 +263,27 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     total = float(sum(payments.values()))
     diagnostics = {"lambda": [c.eigenvalue for c in inst.components]}
     return AuctionOutcome(frozenset(winners), payments, total, diagnostics)
+
+
+def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
+                threshold: Callable[[str], Optional[Fraction]],
+                diagnostics: dict) -> AuctionOutcome:
+    """`ev_run` on the instance a flow or cut auction reduced its
+    network to. Agents the reduction dropped lose at price 0. A winner
+    can also exit by bidding itself out of the reduction, at
+    `threshold(winner)` (None when no bid does), so that caps its
+    payment. The reduction's `diagnostics` follow the cover auction's."""
+    outcome = ev_run(inst, bids)
+    winners = sorted(outcome.winners)
+    payments = dict.fromkeys(agents, 0.0)
+    payments.update(outcome.payments)
+    for winner in winners:
+        tau = threshold(winner)
+        if tau is not None:
+            payments[winner] = min(payments[winner], float(tau))
+    total = sum(payments[w] for w in winners)
+    return AuctionOutcome(outcome.winners, payments, total,
+                          {**outcome.diagnostics, **diagnostics})
 
 
 def unit_bid_vector(inst: VcInstance, agent: str,

@@ -11,7 +11,9 @@ Costs may be Fractions (exact pruning, nu) or floats (scaled bids from
 the cover auction). `min_cost_flow` solves on their exact integer
 images (see `rational.integer_costs`), so a float cost never rounds
 inside a solve; only the reported total keeps the callers' number
-type.
+type. Inputs are checked where they enter: `min_cost_flow` checks the
+network and each cost as it converts them, so `fm_run`'s pruning solve
+rejects a missing, negative or non-finite bid on any edge.
 """
 
 from __future__ import annotations
@@ -21,27 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import caps
-from .errors import DomainError, InputError, MonopolyError, ScaleError
-from .eigen import AuctionOutcome, VcInstance, build_vc_instance, ev_run
-from .graph import Graph, adjacency, enumerate_st_paths, reach
-from .rational import integer_costs, is_finite
-
-
-def _check_flow_input(g: Graph, costs: dict):
-    if not g.directed:
-        raise InputError("flow networks must be directed")
-    if g.source is None or g.sink is None:
-        raise InputError("flow networks need designated s, t")
-    for e in g.edges:
-        if e.id not in costs:
-            raise InputError(f"missing cost for edge {e.id!r}")
-        if not is_finite(costs[e.id]):
-            raise InputError(f"non-finite cost for edge {e.id!r}")
-        if costs[e.id] < 0:
-            raise InputError(f"negative cost for edge {e.id!r}")
-        if e.tail == e.head:
-            raise InputError(f"self-loop {e.id!r} not allowed in flow networks")
+from .errors import DomainError, InputError, MonopolyError
+from .eigen import AuctionOutcome, VcInstance, build_vc_instance, reduced_run
+from .graph import (Graph, adjacency, check_network, enumerate_st_paths,
+                    path_labels, reach, shortest_paths)
+from .rational import integer_costs
 
 
 @dataclass(frozen=True)
@@ -69,72 +55,34 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     holds the dominant slot, so ties favor flows that avoid high-id
     edges.
     """
-    _check_flow_input(g, costs)
+    check_network(g)
     order = sorted((e.id for e in g.edges), reverse=True)
-    _, main = integer_costs({eid: costs[eid] for eid in order})
+    _, main = integer_costs({eid: costs.get(eid) for eid in order})
     weight = {eid: 3 ** (len(order) - 1 - i) for i, eid in enumerate(order)}
     flow: dict[str, int] = {eid: 0 for eid in order}
     for _ in range(k):
-        pred = _bellman_ford(g, main, flow, weight)
-        if pred is None:
-            raise DomainError(f"network does not support {k} edge-disjoint paths")
-        v = g.sink
-        while v != g.source:
-            eid, forward = pred[v]
+        # The residual graph: an unused edge runs forward at its cost, a
+        # used one backward at minus its cost. Both arcs carry the edge
+        # id, and crossing either one flips the edge's flow.
+        arcs = []
+        for eid in reversed(order):
             e = g.edge_by_id[eid]
-            if forward:
-                flow[eid] = 1
-                v = e.tail
+            if flow[eid]:
+                arcs.append((e.head, e.tail, (-main[eid], -weight[eid]), eid))
             else:
-                flow[eid] = 0
-                v = e.head
+                arcs.append((e.tail, e.head, (main[eid], weight[eid]), eid))
+        dist, pred = shortest_paths(g.vertices, arcs, g.source)
+        if dist[g.sink] is None:
+            raise DomainError(f"network does not support {k} edge-disjoint paths")
+        for eid in path_labels(pred, g.source, g.sink):
+            flow[eid] ^= 1
     support = frozenset(eid for eid, f in flow.items() if f)
     total = sum(costs[eid] for eid in sorted(support))
     return MinCostFlowResult(support, total)
 
 
-def _bellman_ford(g: Graph, costs, flow, weight):
-    """Shortest s-t path in the residual graph under perturbed costs.
-
-    Returns pred: vertex -> (edge id, is_forward), or None when the sink
-    is unreachable. Arc costs are (main, tie) pairs of integers compared
-    lexicographically; the tie weights make distinct paths never tie.
-    Exact integers leave the residual graph free of negative cycles, so
-    the walk back along pred always reaches the source.
-    """
-    arcs = []  # (tail, head, edge id, forward?, main cost, tie cost)
-    for eid in sorted(flow):
-        e = g.edge_by_id[eid]
-        if flow[eid] == 0:
-            arcs.append((e.tail, e.head, eid, True, costs[eid], weight[eid]))
-        else:
-            arcs.append((e.head, e.tail, eid, False, -costs[eid], -weight[eid]))
-    dist = {v: None for v in g.vertices}
-    dist[g.source] = (0, 0)
-    pred: dict[str, tuple[str, bool]] = {}
-    for _ in range(len(g.vertices) - 1):
-        changed = False
-        for tail, head, eid, forward, cost, tie in arcs:
-            if dist[tail] is None:
-                continue
-            main, tie_sum = dist[tail]
-            cand = (main + cost, tie_sum + tie)
-            if dist[head] is None or cand < dist[head]:
-                dist[head] = cand
-                pred[head] = (eid, forward)
-                changed = True
-        if not changed:
-            break
-    if dist[g.sink] is None:
-        return None
-    return pred
-
-
 def prune_to_support(g: Graph, costs: dict, k: int) -> Graph:
     """H: the subgraph on the support of a min-cost (k+1)-flow."""
-    if len(g.edges) > caps.cap(caps.FLOW_EDGE_CAP):
-        raise ScaleError(f"flow auctions capped at "
-                         f"{caps.cap(caps.FLOW_EDGE_CAP)} edges")
     try:
         result = min_cost_flow(g, costs, k + 1)
     except DomainError as exc:
@@ -265,28 +213,16 @@ def _pruning_threshold(g: Graph, costs: dict, k: int, agent: str):
 def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     """Run the full flow auction: prune, reduce to covers, pay thresholds.
 
-    Winners form a k-flow. Edges pruned out of H lose at price 0.
-    """
+    Winners form a k-flow. Edges pruned out of H lose at price 0. A
+    winner's payment is capped by the highest bid at which it stays in
+    the min-cost (k+1)-flow that defines H. The pruning solve checks
+    the network and every bid."""
     if k < 1:
         raise InputError("k must be at least 1")
-    _check_flow_input(g, costs)
     h = prune_to_support(g, costs, k)
-    inst = vc_from_flow(h, k)
-    bids = {e.id: costs[e.id] for e in h.edges}
-    outcome = ev_run(inst, bids)
-    payments = {e.id: 0.0 for e in g.edges}
-    payments.update(outcome.payments)
-    # A winner's threshold is the smaller of two exits: losing the
-    # cover auction inside H, or bidding itself out of the min-cost
-    # (k+1)-flow that defines H. Cap each payment by the latter.
-    for winner in outcome.winners:
-        tau = _pruning_threshold(g, costs, k, winner)
-        if tau is not None:
-            payments[winner] = min(payments[winner], float(tau))
-    diagnostics = dict(outcome.diagnostics)
-    diagnostics["pruned_support"] = sorted(e.id for e in h.edges)
-    total = sum(payments[w] for w in sorted(outcome.winners))
-    return AuctionOutcome(outcome.winners, payments, total, diagnostics)
+    return reduced_run(vc_from_flow(h, k), costs, (e.id for e in g.edges),
+                       lambda w: _pruning_threshold(g, costs, k, w),
+                       {"pruned_support": sorted(e.id for e in h.edges)})
 
 
 def nu_flow_fast(h: Graph, costs: dict, k: int) -> Fraction:
@@ -300,7 +236,8 @@ def nu_flow_fast(h: Graph, costs: dict, k: int) -> Fraction:
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    _check_flow_input(h, costs)
+    check_network(h)
+    integer_costs({e.id: costs.get(e.id) for e in h.edges})
     decompose_paths(h, k + 1)
     worst = max(sum(costs[eid] for eid in p) for p in enumerate_st_paths(h))
     return k * worst

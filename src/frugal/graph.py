@@ -5,11 +5,15 @@ Graphs are immutable after construction. Parallel edges are permitted
 (and required: contraction produces parallel edge groups), and each
 edge carries a stable unique id.
 
-The traversal layer is three functions: `adjacency` builds a successor
-(or predecessor) map, `reach` returns everything a vertex reaches in
-such a map, and `components` returns undirected connected components.
-Every reachability question in the package goes through them. Their
-state lives for one call; nothing is cached on `Graph`.
+The traversal layer: `adjacency` builds a successor (or predecessor)
+map, `reach` returns everything a vertex reaches in such a map, and
+`components` returns undirected connected components; every
+reachability question goes through them. `shortest_paths` is the one
+shortest-path search, a Bellman-Ford on lexicographic integer pairs
+that the min-cost flow and the relief flow run on their residual
+graphs, and `path_labels` reads a path out of its result. State lives
+for one call; nothing is cached on `Graph`. `check_network` holds the
+structural checks that flow and cut networks share.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .caps import COVER_AGENT_CAP, PATH_CAP, cap
-from .errors import InputError, ScaleError
+from .errors import DomainError, InputError, ScaleError
 from .rational import format_rational, parse_rational
 
 
@@ -194,6 +198,62 @@ def components(vertices: Iterable[str],
             seen |= comp
             comps.append(sorted(comp))
     return comps
+
+
+def shortest_paths(vertices: Iterable[str], arcs: list, source: str):
+    """Bellman-Ford from `source` on pair-weighted arcs.
+
+    Each arc is `(tail, head, (w0, w1), label)` with integer weights;
+    path weights add componentwise and compare lexicographically. Arcs
+    are relaxed in the given order and only a strictly shorter path
+    replaces a distance, so the predecessor tree depends only on the
+    arc list. Returns (dist, pred): dist maps each vertex to its
+    distance pair, or None when unreachable; pred maps each reached
+    vertex but the source to the arc that reached it. DomainError on a
+    negative cycle reachable from the source."""
+    dist = dict.fromkeys(vertices)
+    dist[source] = (0, 0)
+    pred: dict = {}
+    for _ in range(len(dist)):
+        changed = False
+        for arc in arcs:
+            tail, head, (w0, w1), _ = arc
+            d = dist[tail]
+            if d is None:
+                continue
+            cand = (d[0] + w0, d[1] + w1)
+            if dist[head] is None or cand < dist[head]:
+                dist[head] = cand
+                pred[head] = arc
+                changed = True
+        if not changed:
+            return dist, pred
+    raise DomainError("negative cycle in a residual graph")
+
+
+def path_labels(pred: dict, source: str, sink: str) -> list:
+    """The labels of the arcs on the pred-tree path from source to
+    sink, in path order."""
+    labels = []
+    v = sink
+    while v != source:
+        tail, _, _, label = pred[v]
+        labels.append(label)
+        v = tail
+    labels.reverse()
+    return labels
+
+
+def check_network(g: Graph) -> None:
+    """InputError unless g is a network: directed, with designated s
+    and t, and without self-loops."""
+    if not g.directed:
+        raise InputError("networks must be directed")
+    if g.source is None or g.sink is None:
+        raise InputError("networks need designated s, t")
+    for e in g.edges:
+        if e.tail == e.head:
+            raise InputError(f"self-loop {e.id!r} not allowed in networks")
 
 
 def reachable(g: Graph, a: str, b: str) -> bool:

@@ -94,6 +94,7 @@ def brute_conflict_pairs(h: Graph) -> frozenset:
 @dataclass
 class PerturbationReport:
     trials: int = 0
+    skipped: int = 0  # draws whose base run raised DomainError
     checks: int = 0
     violations: list = field(default_factory=list)
 
@@ -117,7 +118,8 @@ def check_truthfulness(mechanism: Mechanism, agents: Iterable[str],
     same winning set; and one winner's payment must match its threshold
     bid (found by bisection). Agents whose payment equals their cost
     with zero slack are skipped for the lowering check when their cost
-    is already zero."""
+    is already zero. A draw whose base run raises DomainError is not a
+    trial; it is counted in `skipped`."""
     agents = sorted(agents)
     report = PerturbationReport()
     for trial in range(trials):
@@ -126,6 +128,7 @@ def check_truthfulness(mechanism: Mechanism, agents: Iterable[str],
         try:
             base = mechanism(costs)
         except DomainError:
+            report.skipped += 1
             continue
         report.trials += 1
         winners = sorted(base.winners)

@@ -4,7 +4,11 @@ All costs, bids, LP data, and Nash-bound values in this package are
 `fractions.Fraction` instances (always in lowest terms, positive
 denominator). JSON files carry them as strings like "3/2"; bare
 integers are accepted as shorthand. The flow and cut solvers run on
-the costs' exact integer images (`integer_costs`).
+the costs' exact integer images (`integer_costs`), and that conversion
+is also the one cost check: a missing, non-finite (NaN, +-inf) or
+negative cost is an InputError. The flow and cut auctions meet it in
+their first solve, the cover auction when it scales its bids, so a
+non-finite bid is an error in all three.
 """
 
 from __future__ import annotations
@@ -35,12 +39,6 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
-def is_finite(value) -> bool:
-    """False for NaN and the infinities. Every int and Fraction is
-    finite, however large; anything else is tested as a float."""
-    return isinstance(value, (int, Fraction)) or math.isfinite(value)
-
-
 def integer_costs(costs: dict) -> tuple[int, dict]:
     """(D, {key: D * c}): the costs as exact integers with one common
     scale D, the lcm of the cost denominators in lowest terms.
@@ -48,8 +46,20 @@ def integer_costs(costs: dict) -> tuple[int, dict]:
     `c.as_integer_ratio()` gives Fraction(c)'s numerator and
     denominator, exactly for int, Fraction and float alike, so sums of
     the integers order and tie exactly as the sums of the costs do.
-    The costs must be finite."""
-    ratios = {key: c.as_integer_ratio() for key, c in costs.items()}
+
+    This is the cost rule: a cost of None (missing), NaN, +-inf or
+    below zero raises InputError naming its key."""
+    ratios = {}
+    for key, c in costs.items():
+        if c is None:
+            raise InputError(f"missing cost for {key!r}")
+        try:
+            num, den = c.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise InputError(f"non-finite cost for {key!r}") from None
+        if num < 0:
+            raise InputError(f"negative cost for {key!r}")
+        ratios[key] = num, den
     scale = math.lcm(*(den for _, den in ratios.values()))
     return scale, {key: num * (scale // den)
                    for key, (num, den) in ratios.items()}

@@ -309,7 +309,8 @@ def test_criterion_8_contraction_preserves_nash_bound(capfd):
 def test_criterion_9_truthfulness_of_all_three_mechanisms(capfd):
     @criterion(capfd, 9,
                "200 seeded perturbation trials per mechanism find no "
-               "monotonicity or threshold-payment violations")
+               "monotonicity or threshold-payment violations and skip "
+               "no draw")
     def _():
         rng = random.Random(999)
 
@@ -324,6 +325,7 @@ def test_criterion_9_truthfulness_of_all_three_mechanisms(capfd):
             report = check_truthfulness(lambda b: ev_run(inst, b),
                                         inst.agents, rng, trials=10)
             assert report.ok, report.violations
+            assert report.skipped == 0
             trials += report.trials
 
         trials = 0
@@ -334,6 +336,7 @@ def test_criterion_9_truthfulness_of_all_three_mechanisms(capfd):
                                         [e.id for e in g.edges], rng,
                                         trials=10)
             assert report.ok, report.violations
+            assert report.skipped == 0
             trials += report.trials
 
         trials = 0
@@ -347,6 +350,7 @@ def test_criterion_9_truthfulness_of_all_three_mechanisms(capfd):
             except FrugalError:
                 continue
             assert report.ok, report.violations
+            assert report.skipped == 0
             trials += report.trials
 
 

@@ -106,6 +106,19 @@ def test_negative_bid_rejected(triangle):
         ev_run(inst, {"a": Fraction(-1), "b": ONE, "c": ONE})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_bid_rejected(triangle, bad):
+    inst = instance(triangle, TWO)
+    with pytest.raises(InputError):
+        ev_run(inst, {"a": bad, "b": ONE, "c": ONE})
+
+
+def test_missing_bid_rejected(triangle):
+    inst = instance(triangle, TWO)
+    with pytest.raises(InputError):
+        ev_run(inst, {"a": ONE, "b": ONE})
+
+
 def test_winner_payment_covers_bid(triangle):
     inst = instance(triangle, TWO)
     rng = random.Random(7)

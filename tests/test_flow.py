@@ -4,6 +4,7 @@ import random
 import signal
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from frugal.errors import DomainError, InputError, MonopolyError
@@ -226,6 +227,44 @@ def test_fm_zero_costs(three_flow):
     out = fm_run(three_flow, costs, 2)
     assert out.total_payment == 0.0
     decompose_paths(three_flow.subgraph_edges(out.winners), 2)
+
+
+def large_flow_network(rng, k, min_edges):
+    """k+1 disjoint s-t paths through 14 inner vertices, plus random
+    edges between distinct vertices until there are `min_edges` or
+    more, and integer costs 0..20."""
+    inner = [f"v{i}" for i in range(14)]
+    edges = []
+    for p in range(k + 1):
+        hops = ["s", *rng.sample(inner, rng.randint(1, 4)), "t"]
+        edges += [(f"p{p}_{i}", a, b)
+                  for i, (a, b) in enumerate(zip(hops, hops[1:]))]
+    while len(edges) < min_edges:
+        a, b = rng.sample(["s", "t", *inner], 2)
+        edges.append((f"x{len(edges)}", a, b))
+    g = Graph.build(["s", "t", *inner], edges, source="s", sink="t")
+    return g, {e.id: Fraction(rng.randint(0, 20)) for e in g.edges}
+
+
+def test_pruning_beyond_sixteen_edges_matches_networkx():
+    # The pruning path is polynomial, so no edge cap applies to it. Its
+    # support must cost what a networkx min-cost (k+1)-flow costs.
+    rng = random.Random(60)
+    for trial in range(30):
+        k = rng.randint(1, 4)
+        g, costs = large_flow_network(rng, k, 60 + trial)
+        ref = nx.MultiDiGraph()
+        ref.add_node("s", demand=-(k + 1))
+        ref.add_node("t", demand=k + 1)
+        for e in g.edges:
+            ref.add_edge(e.tail, e.head, key=e.id, capacity=1,
+                         weight=int(costs[e.id]))
+        h = prune_to_support(g, costs, k)
+        assert sum(costs[e.id] for e in h.edges) == nx.min_cost_flow_cost(ref)
+        decompose_paths(h, k + 1)
+        if trial % 5 == 0:
+            out = fm_run(g, costs, k)
+            min_cost_flow(g.subgraph_edges(out.winners), costs, k)
 
 
 def test_fm_pruned_losers_pay_zero():

@@ -5,10 +5,11 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from frugal.errors import InputError, ScaleError
-from frugal.graph import (Edge, Graph, adjacency, components,
+from frugal.errors import DomainError, InputError, ScaleError
+from frugal.graph import (Edge, Graph, adjacency, check_network, components,
                           enumerate_st_paths, graph_from_json, graph_to_json,
-                          reach, reachable, st_cut_crossings)
+                          path_labels, reach, reachable, shortest_paths,
+                          st_cut_crossings)
 
 
 def test_duplicate_vertex_rejected():
@@ -118,6 +119,104 @@ def test_components_match_networkx_in_smallest_vertex_order():
         expected = sorted(sorted(c) for c in nx.connected_components(g))
         pairs = [(e.tail, e.head) for e in edges]
         assert components(vertices, pairs) == expected
+
+
+def random_pair_digraphs(count, seed):
+    """Seeded small digraphs whose pair-weighted arcs include negative
+    ones but no cycle of negative weight, as (vertices, arcs). Each
+    weight component is a non-negative base plus a potential
+    difference p(tail) - p(head), so every cycle weighs its bases,
+    which are >= 0 componentwise."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vertices = list(range(rng.randint(2, 6)))
+        p0 = {v: rng.randint(-4, 4) for v in vertices}
+        p1 = {v: rng.randint(-4, 4) for v in vertices}
+        arcs = []
+        for label in range(rng.randint(1, 10)):
+            a, b = rng.choice(vertices), rng.choice(vertices)
+            w = (rng.randint(0, 2) + p0[a] - p0[b],
+                 rng.randint(0, 2) + p1[a] - p1[b])
+            arcs.append((a, b, w, label))
+        yield vertices, arcs
+
+
+def brute_shortest(vertices, arcs, source):
+    """Least pair weight over the simple paths from source to each
+    vertex (None when there is none), by enumerating the paths."""
+    best = dict.fromkeys(vertices)
+    best[source] = (0, 0)
+
+    def walk(v, seen, w):
+        for tail, head, (w0, w1), _ in arcs:
+            if tail == v and head not in seen:
+                cand = (w[0] + w0, w[1] + w1)
+                if best[head] is None or cand < best[head]:
+                    best[head] = cand
+                walk(head, seen | {head}, cand)
+
+    walk(source, {source}, (0, 0))
+    return best
+
+
+def test_shortest_paths_match_simple_path_enumeration():
+    negative = 0
+    for vertices, arcs in random_pair_digraphs(400, 21):
+        negative += any(w < (0, 0) for _, _, w, _ in arcs)
+        dist, pred = shortest_paths(vertices, arcs, 0)
+        assert dist == brute_shortest(vertices, arcs, 0)
+        by_label = {arc[3]: arc for arc in arcs}
+        for v in vertices:
+            if v == 0 or dist[v] is None:
+                continue
+            # The pred path is a real 0-v path of the reported weight.
+            path = [by_label[label] for label in path_labels(pred, 0, v)]
+            assert path[0][0] == 0 and path[-1][1] == v
+            assert all(x[1] == y[0] for x, y in zip(path, path[1:]))
+            assert (sum(a[2][0] for a in path),
+                    sum(a[2][1] for a in path)) == dist[v]
+    assert negative >= 150
+
+
+@pytest.mark.parametrize("cycle", [((0, 1), (-1, 5)), ((2, -1), (-2, 0))])
+def test_shortest_paths_raise_on_negative_cycle(cycle):
+    (wa, wb) = cycle
+    arcs = [("s", "a", (0, 0), "sa"), ("a", "b", wa, "ab"),
+            ("b", "a", wb, "ba")]
+    with pytest.raises(DomainError):
+        shortest_paths(["s", "a", "b"], arcs, "s")
+    # A negative cycle the source cannot reach is no obstacle.
+    dist, _ = shortest_paths(["s", "a", "b"], arcs[1:], "s")
+    assert dist == {"s": (0, 0), "a": None, "b": None}
+
+
+def test_path_labels_follow_the_pred_tree():
+    arcs = [("s", "a", (1, 0), "sa"), ("s", "b", (0, 0), "sb"),
+            ("b", "a", (0, 0), "ba"), ("a", "t", (0, 0), "at"),
+            ("b", "t", (2, 0), "bt")]
+    dist, pred = shortest_paths(["s", "a", "b", "t"], arcs, "s")
+    assert dist["t"] == (0, 0)
+    assert path_labels(pred, "s", "t") == ["sb", "ba", "at"]
+    assert path_labels(pred, "s", "b") == ["sb"]
+    assert path_labels(pred, "s", "s") == []
+
+
+def test_shortest_paths_keep_the_first_of_equal_paths():
+    # Strict improvement only: the arc relaxed first keeps its tie.
+    arcs = [("s", "t", (1, 1), "first"), ("s", "t", (1, 1), "second")]
+    _, pred = shortest_paths(["s", "t"], arcs, "s")
+    assert path_labels(pred, "s", "t") == ["first"]
+
+
+def test_check_network(path_graph, triangle):
+    check_network(path_graph)
+    with pytest.raises(InputError):
+        check_network(triangle)
+    with pytest.raises(InputError):
+        check_network(Graph.build(["s", "t"], [("st", "s", "t")]))
+    with pytest.raises(InputError):
+        check_network(Graph.build(["s", "t"], [("ss", "s", "s")],
+                                  source="s", sink="t"))
 
 
 def test_st_cut_crossings(path_graph):
