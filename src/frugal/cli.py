@@ -2,9 +2,8 @@
 
 Subcommands: vc-auction, flow-auction, cut-auction, nu, double-cut,
 verify, frugality. All output is JSON on stdout with sorted keys, so
-identical inputs (and seeds) produce byte-identical output. Exit
-status: 0 success, 1 domain or input error, 2 scale error,
-3 verification failure.
+identical inputs (and seeds) produce byte-identical output. Exit status:
+0 success, 1 domain or input error, 2 scale error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -13,10 +12,11 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .cut import cm_run, min_double_cut, select_double_cut
-from .eigen import build_vc_instance, ev_run
+from .cut import (auction_on_double_cut, cm_run, min_double_cut,
+                  select_double_cut)
+from .eigen import VcInstance, build_vc_instance, ev_run
 from .errors import FrugalError, InputError, ScaleError
 from .flow import fm_run, nu_flow_fast
 from .graph import graph_from_json
@@ -42,8 +42,13 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_graph(path: str):
-    return graph_from_json(_load_json(path))
+def _graph_and_costs(graph_path: str, costs_path, flag: str = "bids"):
+    """The graph, and its costs from `--<flag>` or else its edges."""
+    g, file_costs = graph_from_json(_load_json(graph_path))
+    costs = _load_costs(costs_path) if costs_path else file_costs
+    if costs is None:
+        raise InputError(f"no {flag}: pass --{flag} or put costs on the edges")
+    return g, costs
 
 
 def _load_costs(path: str) -> dict:
@@ -62,6 +67,10 @@ def _payments_json(payments: dict) -> dict:
     return {a: _approx(p) for a, p in sorted(payments.items())}
 
 
+def _cuts_json(result) -> list | None:
+    return [sorted(side) for side in result.cuts] if result.cuts else None
+
+
 def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
@@ -70,19 +79,21 @@ def _load_system(path: str) -> SetSystem:
     data = _load_json(path)
     if not isinstance(data, dict) or "kind" not in data or "graph" not in data:
         raise InputError("system file needs 'kind' and 'graph' keys")
-    kind = data["kind"]
     g, _ = graph_from_json(data["graph"])
-    if kind == K_FLOW:
-        return SetSystem(kind, g, k=int(data.get("k", 0)))
-    if kind in (VERTEX_COVER, CUT):
-        return SetSystem(kind, g)
-    raise InputError(f"unknown system kind {kind!r}")
+    k = int(data.get("k", 0)) if data["kind"] == K_FLOW else None
+    return SetSystem(data["kind"], g, k=k)
+
+
+def _vc_setup(g) -> tuple[SetSystem, dict, VcInstance]:
+    """g's monopoly-free vertex-cover system, Tot map and instance."""
+    sys_ = SetSystem(VERTEX_COVER, g)
+    sys_.check_monopoly_free()
+    tot_map = {v: tot(sys_, v) for v in g.vertices}
+    return sys_, tot_map, build_vc_instance(g, tot_map)
 
 
 def cmd_nu(args) -> int:
-    sys_ = _load_system(args.system)
-    costs = _load_costs(args.costs)
-    result = nu(sys_, costs)
+    result = nu(_load_system(args.system), _load_costs(args.costs))
     _emit({
         "nu": format_rational(result.value),
         "bids": {a: format_rational(b) for a, b in sorted(result.bids.items())},
@@ -92,15 +103,13 @@ def cmd_nu(args) -> int:
 
 
 def cmd_vc_auction(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g, _ = graph_from_json(_load_json(args.graph))
     bids = _load_costs(args.bids)
     if args.tot == "auto":
-        sys_ = SetSystem(VERTEX_COVER, g)
-        sys_.check_monopoly_free()
-        tot_map = {v: tot(sys_, v) for v in g.vertices}
+        _, tot_map, inst = _vc_setup(g)
     else:
         tot_map = _load_costs(args.tot)
-    inst = build_vc_instance(g, tot_map)
+        inst = build_vc_instance(g, tot_map)
     outcome = ev_run(inst, bids)
     _emit({
         "approx": True,
@@ -114,10 +123,7 @@ def cmd_vc_auction(args) -> int:
 
 
 def cmd_flow_auction(args) -> int:
-    g, file_costs = _load_graph(args.graph)
-    bids = _load_costs(args.bids) if args.bids else file_costs
-    if bids is None:
-        raise InputError("no bids: pass --bids or put costs on the edges")
+    g, bids = _graph_and_costs(args.graph, args.bids)
     outcome = fm_run(g, bids, args.k)
     h = g.subgraph_edges(outcome.diagnostics["pruned_support"])
     nu_h = nu_flow_fast(h, bids, args.k)
@@ -142,17 +148,13 @@ def cmd_flow_auction(args) -> int:
 
 
 def cmd_cut_auction(args) -> int:
-    g, file_costs = _load_graph(args.graph)
-    bids = _load_costs(args.bids) if args.bids else file_costs
-    if bids is None:
-        raise InputError("no bids: pass --bids or put costs on the edges")
-    _, result = select_double_cut(g, bids)
-    outcome = cm_run(g, bids)
+    g, bids = _graph_and_costs(args.graph, args.bids)
+    core, result = select_double_cut(g, bids)
+    outcome = auction_on_double_cut(g, bids, core, result)
     _emit({
         "approx": True,
         "double_cut": sorted(result.double_cut),
-        "cuts": ([sorted(result.cuts[0]), sorted(result.cuts[1])]
-                 if result.cuts else None),
+        "cuts": _cuts_json(result),
         "certified": result.certified,
         "method": result.method,
         "winners": sorted(outcome.winners),
@@ -163,10 +165,7 @@ def cmd_cut_auction(args) -> int:
 
 
 def cmd_double_cut(args) -> int:
-    g, file_costs = _load_graph(args.graph)
-    costs = _load_costs(args.costs) if args.costs else file_costs
-    if costs is None:
-        raise InputError("no costs: pass --costs or put costs on the edges")
+    g, costs = _graph_and_costs(args.graph, args.costs, "costs")
     result = min_double_cut(g, costs)
     data = {
         "double_cut": sorted(result.double_cut),
@@ -174,8 +173,7 @@ def cmd_double_cut(args) -> int:
         "dual_objective": format_rational(result.dual_objective),
         "certified": result.certified,
         "method": result.method,
-        "cuts": ([sorted(result.cuts[0]), sorted(result.cuts[1])]
-                 if result.cuts else None),
+        "cuts": _cuts_json(result),
     }
     if result.flow_value is not None:
         data["flow_value"] = format_rational(result.flow_value)
@@ -184,140 +182,107 @@ def cmd_double_cut(args) -> int:
     return EXIT_OK
 
 
-def _verify_vc(rng: random.Random, trials: int) -> dict:
-    violations = []
-    done = 0
-    while done < trials:
+class _Draw(NamedTuple):
+    """A random instance: mechanism, agents `verify` probes, keys that
+    `frugality` draws costs over, Nash bound; for vc, instance and Tot."""
+    mechanism: Callable
+    agents: Sequence[str]
+    cost_keys: Sequence[str]
+    nu: Callable
+    inst: Optional[VcInstance] = None
+    tot: Optional[dict] = None
+
+
+def _draw(suite: str, rng: random.Random) -> _Draw:
+    while suite == "vc":
         g = random_undirected_graph(rng, rng.randint(3, 6))
         if not g.edges:
             continue
         try:
-            sys_ = SetSystem(VERTEX_COVER, g)
-            sys_.check_monopoly_free()
-            tot_map = {v: tot(sys_, v) for v in g.vertices}
-            inst = build_vc_instance(g, tot_map)
+            sys_, tot_map, inst = _vc_setup(g)
         except FrugalError:
             continue
-        report = check_truthfulness(lambda b: ev_run(inst, b),
-                                    inst.agents, rng, trials=5)
-        violations.extend(report.violations)
-        done += 1
-    return {"instances": done, "violations": violations}
-
-
-def _verify_flow(rng: random.Random, trials: int) -> dict:
-    violations = []
-    done = 0
-    while done < trials:
+        return _Draw(lambda b: ev_run(inst, b), inst.agents, g.vertices,
+                     lambda c: nu(sys_, c).value, inst, tot_map)
+    if suite == "flow":
         k = rng.randint(1, 2)
         g = random_kplus1_flow(rng, k)
-        agents = [e.id for e in g.edges]
-        report = check_truthfulness(lambda b: fm_run(g, b, k),
-                                    agents, rng, trials=5)
-        violations.extend(report.violations)
-        done += 1
-    return {"instances": done, "violations": violations}
-
-
-def _verify_cut(rng: random.Random, trials: int) -> dict:
-    violations = []
-    done = 0
-    while done < trials:
+        mechanism, nu_fn = (lambda b: fm_run(g, b, k),
+                            lambda c: nu_flow_fast(g, c, k))
+    else:
         g = random_cut_network(rng, rng.randint(4, 6), rng.randint(5, 9))
-        agents = [e.id for e in g.edges]
+        mechanism, nu_fn = (lambda b: cm_run(g, b),
+                            lambda c: nu(SetSystem(CUT, g), c).value)
+    agents = [e.id for e in g.edges]
+    return _Draw(mechanism, agents, agents, nu_fn)
+
+
+def _run_suite(suite: str, rng: random.Random, trials: int,
+               run: Callable[[_Draw], object]) -> list:
+    """[(draw, run(draw))] for `trials` draws. Only a cut draw whose run
+    raises FrugalError is redrawn; in vc and flow the error propagates."""
+    results = []
+    while len(results) < trials:
+        draw = _draw(suite, rng)
         try:
-            report = check_truthfulness(lambda b: cm_run(g, b),
-                                        agents, rng, trials=5)
+            results.append((draw, run(draw)))
         except FrugalError:
-            continue
-        violations.extend(report.violations)
-        done += 1
-    return {"instances": done, "violations": violations}
+            if suite != "cut":
+                raise
+    return results
 
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     suites = ["vc", "flow", "cut"] if args.suite == "all" else [args.suite]
-    runners = {"vc": _verify_vc, "flow": _verify_flow, "cut": _verify_cut}
     report = {"seed": args.seed, "suites": {}}
-    total_violations = 0
-    for name in suites:
-        result = runners[name](rng, args.trials)
-        result["violations"] = [list(map(str, v)) for v in result["violations"]]
-        report["suites"][name] = result
-        total_violations += len(result["violations"])
-    report["ok"] = total_violations == 0
+    for suite in suites:
+        results = _run_suite(suite, rng, args.trials, lambda d: (
+            check_truthfulness(d.mechanism, d.agents, rng, trials=5)))
+        violations = [list(map(str, v))
+                      for _, probe in results for v in probe.violations]
+        report["suites"][suite] = {"instances": len(results),
+                                   "violations": violations}
+    report["ok"] = not any(s["violations"] for s in report["suites"].values())
     _emit(report)
-    return EXIT_OK if total_violations == 0 else EXIT_VERIFY
+    return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
 def cmd_frugality(args) -> int:
     rng = random.Random(args.seed)
-    report = {"seed": args.seed, "suite": args.suite}
-    ok = True
+
+    def run(draw):
+        vectors = [random_costs(rng, draw.cost_keys) for _ in range(5)]
+        outcomes = []
+
+        def mechanism(costs):
+            outcomes.append(draw.mechanism(costs))
+            return outcomes[-1]
+        ratio = measure_frugality(mechanism, draw.nu, vectors)
+        return ratio, vectors, outcomes
+
+    results = _run_suite(args.suite, rng, args.trials, run)
+    worst = max([0.0, *(ratio for _, (ratio, _, _) in results)])
+    report = {"seed": args.seed, "suite": args.suite,
+              "worst_ratio": _approx(worst)}
     if args.suite == "vc":
-        worst = 0.0
-        lam_bound = 0.0
-        done = 0
-        while done < args.trials:
-            g = random_undirected_graph(rng, rng.randint(3, 6))
-            if not g.edges:
-                continue
-            try:
-                sys_ = SetSystem(VERTEX_COVER, g)
-                sys_.check_monopoly_free()
-                tot_map = {v: tot(sys_, v) for v in g.vertices}
-                inst = build_vc_instance(g, tot_map)
-            except FrugalError:
-                continue
-            vectors = [random_costs(rng, g.vertices) for _ in range(5)]
-            ratio = measure_frugality(lambda b: ev_run(inst, b),
-                                      lambda c: nu(sys_, c).value, vectors)
-            # The guaranteed payment bound is lambda * sum(c_v tot_v);
-            # the ratio against nu can exceed lambda on rare instances.
-            for c in vectors:
-                cap_val = inst.max_eigenvalue * float(
-                    sum(x * tot_map[v] for v, x in c.items()))
-                if ev_run(inst, c).total_payment > cap_val + 1e-6:
-                    ok = False
-            worst = max(worst, ratio)
-            lam_bound = max(lam_bound, inst.max_eigenvalue)
-            done += 1
-        report["worst_ratio"] = _approx(worst)
-        report["lambda_bound"] = _approx(lam_bound)
+        # The guaranteed payment bound is lambda * sum(c_v tot_v);
+        # the ratio against nu can exceed lambda on rare instances.
+        ok = True
+        for draw, (_, vectors, outcomes) in results:
+            # measure_frugality stops at the first infinite ratio.
+            outcomes += map(draw.mechanism, vectors[len(outcomes):])
+            for c, outcome in zip(vectors, outcomes):
+                cap_val = draw.inst.max_eigenvalue * float(
+                    sum(x * draw.tot[v] for v, x in c.items()))
+                ok = ok and not outcome.total_payment > cap_val + 1e-6
+        report["lambda_bound"] = _approx(
+            max([0.0, *(d.inst.max_eigenvalue for d, _ in results)]))
         report["certified_bound"] = "lambda * sum(c_v * tot_v)"
     elif args.suite == "flow":
-        worst = 0.0
-        done = 0
-        while done < args.trials:
-            k = rng.randint(1, 2)
-            g = random_kplus1_flow(rng, k)
-            agents = [e.id for e in g.edges]
-            vectors = [random_costs(rng, agents) for _ in range(5)]
-            ratio = measure_frugality(
-                lambda b: fm_run(g, b, k),
-                lambda c: nu_flow_fast(g, c, k), vectors)
-            worst = max(worst, ratio)
-            done += 1
-        report["worst_ratio"] = _approx(worst)
         report["bound"] = "2(k+1)"
         ok = worst != float("inf")
     else:
-        worst = 0.0
-        done = 0
-        while done < args.trials:
-            g = random_cut_network(rng, rng.randint(4, 6), rng.randint(5, 9))
-            agents = [e.id for e in g.edges]
-            vectors = [random_costs(rng, agents) for _ in range(5)]
-            try:
-                ratio = measure_frugality(
-                    lambda b: cm_run(g, b),
-                    lambda c: nu(SetSystem(CUT, g), c).value, vectors)
-            except FrugalError:
-                continue
-            worst = max(worst, ratio)
-            done += 1
-        report["worst_ratio"] = _approx(worst)
         report["bound"] = 4.0
         ok = worst <= 4.0 + 1e-6
     report["ok"] = ok

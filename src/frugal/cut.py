@@ -560,7 +560,13 @@ def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
     The auction happens on the subgraph of edges lying on some s-t
     path. Off-path edges can't appear in a minimal cut, and contracting
     them would spuriously merge blocks through edges no path uses."""
-    core, result = select_double_cut(g, costs)
+    return auction_on_double_cut(g, costs, *select_double_cut(g, costs))
+
+
+def auction_on_double_cut(g: Graph, costs: dict, core: Graph,
+                          result: DoubleCutResult) -> AuctionOutcome:
+    """The second half of `cm_run`: the cover auction on the double cut
+    that `select_double_cut(g, costs)` returned as (core, result)."""
     d = result.double_cut
     return reduced_run(_cut_vc_instance(contract_to_h(core, d)), costs,
                        (e.id for e in g.edges),

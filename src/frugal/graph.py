@@ -19,7 +19,6 @@ structural checks that flow and cut networks share.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -307,8 +306,3 @@ def graph_to_json(g: Graph, costs: Optional[dict] = None) -> dict:
     if g.sink is not None:
         data["sink"] = g.sink
     return data
-
-
-def load_graph(path: str) -> tuple[Graph, Optional[dict]]:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))

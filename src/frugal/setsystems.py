@@ -25,6 +25,7 @@ from . import caps
 from .errors import DomainError, InputError, MonopolyError, ScaleError
 from .graph import Graph, enumerate_st_paths, st_cut_crossings
 from .lp import LEQ, LinearProgram, solve
+from .rational import integer_costs
 
 VERTEX_COVER = "vertex-cover"
 K_FLOW = "k-flow"
@@ -172,11 +173,11 @@ def _minimal_only(sets) -> list[frozenset]:
 
 
 def check_costs(sys: SetSystem, c: CostVector):
+    """One cost per agent, each passing `rational.integer_costs`'s rule
+    (not missing, finite and non-negative), else InputError."""
     if set(c) != set(sys.agents):
         raise InputError("cost vector must cover exactly the agent set")
-    for a, v in c.items():
-        if v < 0:
-            raise InputError(f"negative cost for agent {a!r}")
+    integer_costs(c)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from frugal import cli, cut
 from frugal.cli import main
 from frugal.cut import cm_run, select_double_cut
 from frugal.errors import InputError
@@ -136,6 +137,52 @@ def test_cut_auction_reports_the_selection_cm_run_made(capsys, write):
         assert data["method"] == outcome.diagnostics["double_cut_method"]
         assert data["cuts"] == ([sorted(side) for side in result.cuts]
                                 if result.cuts else None)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so each call appends to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_cut_auction_solves_as_often_as_cm_run(capsys, write, monkeypatch):
+    calls = counting(monkeypatch, cut, "min_double_cut")
+    rng = random.Random(29)
+    for i in range(20):
+        g = random_cut_network(rng, rng.randint(4, 8), rng.randint(5, 12))
+        bids = {e.id: Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                for e in g.edges}
+        graph = write(f"g{i}.json", graph_to_json(g, bids))
+        cm_run(g, bids)
+        alone = len(calls)
+        calls.clear()
+        assert main(["cut-auction", "--graph", graph]) == 0
+        assert len(calls) == alone
+        calls.clear()
+
+
+class ZeroNu:
+    value = Fraction(0)
+
+
+@pytest.mark.parametrize("zero_nu", [False, True])
+def test_frugality_vc_runs_the_auction_once_per_cost_vector(
+        capsys, monkeypatch, zero_nu):
+    # With a zero Nash bound measure_frugality stops at the first paid
+    # vector; the payment-bound check must still see all five.
+    if zero_nu:
+        monkeypatch.setattr(cli, "nu", lambda sys_, c: ZeroNu)
+    calls = counting(monkeypatch, cli, "ev_run")
+    code, data = run(capsys, ["frugality", "--suite", "vc", "--seed", "5",
+                              "--trials", "3"])
+    assert code == 0 and data["ok"] is True
+    assert len(calls) == 5 * 3
+    assert (data["worst_ratio"] == float("inf")) == zero_nu
 
 
 def test_double_cut(capsys, write, path_json):

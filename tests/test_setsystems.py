@@ -140,6 +140,15 @@ def test_nu_rejects_bad_costs(triangle):
                           "c": Fraction(0)})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 None, -0.5])
+def test_nu_cost_rule_is_integer_costs(triangle, bad):
+    # The same rule as the auctions: missing, non-finite or negative
+    # costs are InputErrors, not ValueError/OverflowError/TypeError.
+    with pytest.raises(InputError):
+        nu(vc(triangle), {"a": bad, "b": Fraction(0), "c": Fraction(1)})
+
+
 def test_cheapest_set_lexicographic_tie(triangle):
     c = {v: Fraction(0) for v in "abc"}
     assert cheapest_feasible_set(vc(triangle), c) == frozenset({"a", "b"})
