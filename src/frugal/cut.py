@@ -7,14 +7,17 @@ to t); an s-t cut must take a full side of every bundle, which is a
 vertex cover of a disjoint union of complete bipartite graphs. The
 eigenvector cover auction finishes the job with Tot identically 1.
 
-The double cut itself comes from a primal-dual relief-flow algorithm
-(a Ford-Fulkerson extension where saturated edges can still carry flow
-at a price), certified optimal by weak duality against the exact dual
-objective, with an exact LP fallback. Every solve runs on the costs'
-exact integer images (see `rational.integer_costs`). Inputs are checked
-where they enter: `min_double_cut` checks the network and each cost as
-it converts them, and `select_double_cut` the edges off every s-t
-path, so `cm_run` rejects a missing, negative or non-finite bid.
+The double cut itself comes from a primal-dual algorithm. Its dual is
+the relief flow, a min-cost flow in which every edge carries up to its
+cost for free and any more at a price of 1 per unit (the relief), run
+on the package's one augmenting loop, `flow.successive_shortest_paths`.
+Candidate cuts read off the relief flow's residual graph are certified
+optimal by weak duality against the exact dual objective, with an exact
+LP fallback. Every solve runs on the costs' exact integer images (see
+`rational.integer_costs`). Inputs are checked where they enter:
+`min_double_cut` checks the network and each cost as it converts them,
+and `select_double_cut` the edges off every s-t path, so `cm_run`
+rejects a missing, negative or non-finite bid.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from typing import Optional
 
 from .errors import DomainError, InputError, MonopolyError
 from .eigen import AuctionOutcome, VcInstance, build_vc_instance, reduced_run
+from .flow import successive_shortest_paths
 from .graph import (Edge, Graph, adjacency, check_network, components,
-                    enumerate_st_paths, path_labels, reach, shortest_paths)
+                    enumerate_st_paths, reach, shortest_paths)
 from .lp import GEQ, LEQ, LinearProgram, solve
 from .rational import integer_costs
-
-MAX_RELIEF_ITERATIONS = 10_000
 
 ZERO = Fraction(0)
 
@@ -81,43 +83,6 @@ def is_double_cut(g: Graph, edge_ids: frozenset) -> bool:
     return dist[g.sink] is None or dist[g.sink] >= 2
 
 
-def _max_flow(g: Graph, costs: dict) -> dict:
-    """Edmonds-Karp max flow with the costs as capacities."""
-    f = {e.id: 0 for e in g.edges}
-    into: dict[str, list[Edge]] = {}
-    for e in g.edges:
-        into.setdefault(e.head, []).append(e)
-    while True:
-        pred = {}
-        seen = {g.source}
-        dq = deque([g.source])
-        while dq and g.sink not in seen:
-            v = dq.popleft()
-            for e in g.out_edges(v):
-                if e.head not in seen and f[e.id] < costs[e.id]:
-                    seen.add(e.head)
-                    pred[e.head] = (e.id, True)
-                    dq.append(e.head)
-            for e in into.get(v, ()):
-                if e.tail not in seen and f[e.id] > 0:
-                    seen.add(e.tail)
-                    pred[e.tail] = (e.id, False)
-                    dq.append(e.tail)
-        if g.sink not in seen:
-            return f
-        path = []
-        v = g.sink
-        while v != g.source:
-            eid, fwd = pred[v]
-            path.append((eid, fwd))
-            e = g.edge_by_id[eid]
-            v = e.tail if fwd else e.head
-        delta = min((costs[eid] - f[eid]) if fwd else f[eid]
-                    for eid, fwd in path)
-        for eid, fwd in path:
-            f[eid] += delta if fwd else -delta
-
-
 def _residual_arcs(g: Graph, costs, f, r):
     """Arcs of the relief residual graph, weighted (length, 1) so that
     length ties go to fewer hops, labelled (edge id, forward?).
@@ -136,52 +101,26 @@ def _residual_arcs(g: Graph, costs, f, r):
     return arcs
 
 
-def _augment(g: Graph, costs, f, r, pred) -> None:
-    """Push flow along the predecessor path, adding relief on saturated
-    edges and draining it on backward edges, up to the first event that
-    lengthens the path (new saturation or relief hitting zero)."""
-    path = path_labels(pred, g.source, g.sink)
-    bounds = []
-    for eid, fwd in path:
-        if fwd:
-            slack = costs[eid] + r[eid] - f[eid]
-            if slack > 0:
-                bounds.append(slack)
-        else:
-            bounds.append(r[eid] if r[eid] > 0 else f[eid])
-    if not bounds:
-        raise DomainError("unbounded augmentation; graph admits a monopoly")
-    delta = min(bounds)
-    for eid, fwd in path:
-        if fwd:
-            if f[eid] == costs[eid] + r[eid]:
-                r[eid] += delta
-            f[eid] += delta
-        else:
-            if r[eid] > 0:
-                r[eid] -= delta
-            f[eid] -= delta
-
-
-def _flow_value(g: Graph, f):
-    return sum(f[e.id] for e in g.edges if e.tail == g.source) - \
-        sum(f[e.id] for e in g.edges if e.head == g.source)
-
-
 def _relief_flow(g: Graph, costs):
-    """Run the relief-augmentation loop to dual optimality.
+    """The relief flow: the most 2 * value - relief over flows f with
+    reliefs r >= 0 and f_e <= c_e + r_e, the dual of the double cut LP.
 
-    Returns (f, r) or None when the iteration guard trips. Flows and
-    reliefs keep the costs' number type: int costs stay int."""
-    f = _max_flow(g, costs)
-    r = {e.id: 0 for e in g.edges}
-    for _ in range(MAX_RELIEF_ITERATIONS):
-        arcs = _residual_arcs(g, costs, f, r)
-        dist, pred = shortest_paths(g.vertices, arcs, g.source)
-        if dist[g.sink] is None or dist[g.sink][0] > 1:
-            return f, r
-        _augment(g, costs, f, r, pred)
-    return None
+    A min-cost flow: each edge is an arc of capacity c_e and length 0
+    beside an uncapacitated arc of length 1 whose flow is the edge's
+    relief, and augmenting stops once the shortest residual s-t path
+    is 2 or longer; a second weight of 1 per arc breaks length ties.
+    Returns (f, r, flow value), keeping the costs' number type: int
+    costs give int flows."""
+    edges = sorted(g.edges, key=lambda e: e.id)
+    arcs = []
+    for e in edges:
+        arcs.append((e.tail, e.head, costs[e.id], (0, 1)))
+        arcs.append((e.tail, e.head, None, (1, 1)))
+    flow, value = successive_shortest_paths(g.vertices, arcs, g.source,
+                                            g.sink, below=2)
+    r = {e.id: relief for e, relief in zip(edges, flow[1::2])}
+    f = {e.id: free + r[e.id] for e, free in zip(edges, flow[::2])}
+    return f, r, value
 
 
 def _cut_candidates(g: Graph, costs, f, r):
@@ -338,18 +277,15 @@ def _unscale(value, scale: int) -> Optional[Fraction]:
 
 
 def _min_double_cut_any(g: Graph, costs: dict) -> DoubleCutResult:
-    state = _relief_flow(g, costs)
-    if state is not None:
-        f, r = state
-        flow_value = _flow_value(g, f)
-        relief_total = sum(r.values())
-        dual_obj = 2 * flow_value - relief_total
-        for s1, s2 in _cut_candidates(g, costs, f, r):
-            d = _certified_cut(g, costs, s1, s2, dual_obj)
-            if d is not None:
-                cost = sum((costs[eid] for eid in d), ZERO)
-                return DoubleCutResult(d, cost, dual_obj, True, "primal-dual",
-                                       (s1, s2), flow_value, relief_total)
+    f, r, flow_value = _relief_flow(g, costs)
+    relief_total = sum(r.values())
+    dual_obj = 2 * flow_value - relief_total
+    for s1, s2 in _cut_candidates(g, costs, f, r):
+        d = _certified_cut(g, costs, s1, s2, dual_obj)
+        if d is not None:
+            cost = sum((costs[eid] for eid in d), ZERO)
+            return DoubleCutResult(d, cost, dual_obj, True, "primal-dual",
+                                   (s1, s2), flow_value, relief_total)
     chosen, value = double_cut_lp(g, costs)
     return DoubleCutResult(chosen, value, value, True, "lp-fallback", None)
 
@@ -522,21 +458,6 @@ def path_edge_ids(g: Graph) -> frozenset:
                      if e.tail in from_s and e.head in to_t)
 
 
-def _selection_threshold(core: Graph, costs: dict, agent: str):
-    """Highest bid at which `agent` stays inside the minimum-cost
-    double cut, with everyone else's bids fixed. None when every
-    double cut contains the agent (the bid never prices it out)."""
-    free = dict(costs)
-    free[agent] = ZERO
-    contained = min_double_cut(core, free).cost
-    blocked = dict(costs)
-    blocked[agent] = sum(costs[e.id] for e in core.edges) + 1
-    avoiding = min_double_cut(core, blocked)
-    if agent in avoiding.double_cut:
-        return None
-    return avoiding.cost - contained
-
-
 def select_double_cut(g: Graph, costs: dict) -> tuple[Graph, DoubleCutResult]:
     """The double cut the cut auction buys, and how it was found.
 
@@ -568,8 +489,12 @@ def auction_on_double_cut(g: Graph, costs: dict, core: Graph,
     """The second half of `cm_run`: the cover auction on the double cut
     that `select_double_cut(g, costs)` returned as (core, result)."""
     d = result.double_cut
+
+    def solve(c):
+        res = min_double_cut(core, c)
+        return res.double_cut, res.cost
+
     return reduced_run(_cut_vc_instance(contract_to_h(core, d)), costs,
-                       (e.id for e in g.edges),
-                       lambda w: _selection_threshold(core, costs, w),
+                       (e.id for e in g.edges), solve,
                        {"double_cut": sorted(d),
                         "double_cut_method": result.method})

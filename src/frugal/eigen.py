@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -130,8 +130,10 @@ class BruteForceCoverSolver:
         self.edges = tuple(sorted({tuple(sorted((e.tail, e.head)))
                                    for e in conflict_graph.edges
                                    if e.tail != e.head}))
-        if 2 ** len(self.agents) > caps.cap(caps.SUBSET_CAP):
-            raise ScaleError("brute-force cover solver capped at 2^20 subsets")
+        limit = caps.cap(caps.SUBSET_CAP)
+        if 2 ** len(self.agents) > limit:
+            raise ScaleError(f"brute-force cover solver capped at {limit} "
+                             f"subsets")
 
     def _best(self, costs, required=None, forbidden=None):
         pool = [a for a in self.agents if a != forbidden]
@@ -266,21 +268,29 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
 
 
 def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
-                threshold: Callable[[str], Optional[Fraction]],
+                solve: Callable[[dict], tuple[frozenset, object]],
                 diagnostics: dict) -> AuctionOutcome:
     """`ev_run` on the instance a flow or cut auction reduced its
-    network to. Agents the reduction dropped lose at price 0. A winner
-    can also exit by bidding itself out of the reduction, at
-    `threshold(winner)` (None when no bid does), so that caps its
-    payment. The reduction's `diagnostics` follow the cover auction's."""
+    network to. Agents the reduction dropped lose at price 0.
+
+    `solve(costs)` is the reduction's own solve: (the chosen set, its
+    cost). A winner can also exit by bidding itself out of the
+    reduction, which caps its payment. Priced above all bids together,
+    the winner drops out whenever anything can replace it, and its exit
+    bid is that solve's cost less the solve's cost with the winner
+    priced at 0; a winner chosen even at that price has no exit. The
+    reduction's `diagnostics` follow the cover auction's."""
+    agents = list(agents)
     outcome = ev_run(inst, bids)
     winners = sorted(outcome.winners)
     payments = dict.fromkeys(agents, 0.0)
     payments.update(outcome.payments)
+    high = sum(bids[a] for a in agents) + 1
     for winner in winners:
-        tau = threshold(winner)
-        if tau is not None:
-            payments[winner] = min(payments[winner], float(tau))
+        _, free = solve({**bids, winner: 0})
+        chosen, priced = solve({**bids, winner: high})
+        if winner not in chosen:
+            payments[winner] = min(payments[winner], float(priced - free))
     total = sum(payments[w] for w in winners)
     return AuctionOutcome(outcome.winners, payments, total,
                           {**outcome.diagnostics, **diagnostics})

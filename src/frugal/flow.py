@@ -36,6 +36,53 @@ class MinCostFlowResult:
     cost: object  # sum of the given costs over the support, in their type
 
 
+def successive_shortest_paths(vertices, arcs: list, source: str, sink: str,
+                              value=None, below=None) -> tuple[list, object]:
+    """Min-cost s-t flow by successive shortest augmenting paths.
+
+    Each arc is `(tail, head, capacity, (w0, w1))`: an integer capacity,
+    or None for an uncapacitated arc, and integer weights that add and
+    compare as pairs, as in `graph.shortest_paths`. The residual graph
+    holds each arc forward at its weight while it has room and backward
+    at minus its weight while it carries flow, in the order of `arcs`.
+    Each round pushes the bottleneck along the shortest residual s-t
+    path. The loop stops when the sink is out of reach, when the flow
+    reaches `value`, or once the shortest path's w0 is `below` or more.
+    Returns (the flow on each arc, in the order of `arcs`; the flow
+    value). DomainError when a path has no capacitated arc and no
+    `value` bounds the push."""
+    flow = [0] * len(arcs)
+    total = 0
+    while value is None or total < value:
+        # Arc i runs forward labelled i and backward labelled ~i < 0.
+        residual = []
+        for i, (tail, head, cap, w) in enumerate(arcs):
+            if cap is None or flow[i] < cap:
+                residual.append((tail, head, w, i))
+            if flow[i] > 0:
+                residual.append((head, tail, (-w[0], -w[1]), ~i))
+        dist, pred = shortest_paths(vertices, residual, source)
+        if dist[sink] is None or (below is not None
+                                  and dist[sink][0] >= below):
+            break
+        path = path_labels(pred, source, sink)
+        room = [flow[~i] if i < 0 else arcs[i][2] - flow[i]
+                for i in path if i < 0 or arcs[i][2] is not None]
+        if value is not None:
+            room.append(value - total)
+        if not room:
+            raise DomainError("unbounded augmentation: no arc on the shortest "
+                              "path has a capacity")
+        delta = min(room)
+        for i in path:
+            if i < 0:
+                flow[~i] -= delta
+            else:
+                flow[i] += delta
+        total += delta
+    return flow, total
+
+
 def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     """Min-cost flow of value k under unit capacities.
 
@@ -48,7 +95,7 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     fewer than k disjoint paths exist.
 
     The infinitesimals are a second, integer cost: the edge at position
-    i in descending id order weighs 3^(m-1-i). A residual path uses each
+    i in ascending id order weighs 3^i. A residual path uses each
     edge at most once, forward (+1) or backward (-1), so its tie cost is
     a balanced-ternary number, and integer order on those equals
     lexicographic order on the {-1, 0, 1} usage vectors. The highest id
@@ -56,27 +103,15 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     edges.
     """
     check_network(g)
-    order = sorted((e.id for e in g.edges), reverse=True)
-    _, main = integer_costs({eid: costs.get(eid) for eid in order})
-    weight = {eid: 3 ** (len(order) - 1 - i) for i, eid in enumerate(order)}
-    flow: dict[str, int] = {eid: 0 for eid in order}
-    for _ in range(k):
-        # The residual graph: an unused edge runs forward at its cost, a
-        # used one backward at minus its cost. Both arcs carry the edge
-        # id, and crossing either one flips the edge's flow.
-        arcs = []
-        for eid in reversed(order):
-            e = g.edge_by_id[eid]
-            if flow[eid]:
-                arcs.append((e.head, e.tail, (-main[eid], -weight[eid]), eid))
-            else:
-                arcs.append((e.tail, e.head, (main[eid], weight[eid]), eid))
-        dist, pred = shortest_paths(g.vertices, arcs, g.source)
-        if dist[g.sink] is None:
-            raise DomainError(f"network does not support {k} edge-disjoint paths")
-        for eid in path_labels(pred, g.source, g.sink):
-            flow[eid] ^= 1
-    support = frozenset(eid for eid, f in flow.items() if f)
+    edges = sorted(g.edges)  # by id
+    _, main = integer_costs({e.id: costs.get(e.id) for e in edges})
+    arcs = [(e.tail, e.head, 1, (main[e.id], 3 ** i))
+            for i, e in enumerate(edges)]
+    flow, value = successive_shortest_paths(g.vertices, arcs, g.source,
+                                            g.sink, value=k)
+    if value < k:
+        raise DomainError(f"network does not support {k} edge-disjoint paths")
+    support = frozenset(e.id for e, f in zip(edges, flow) if f)
     total = sum(costs[eid] for eid in sorted(support))
     return MinCostFlowResult(support, total)
 
@@ -195,21 +230,6 @@ def vc_from_flow(h: Graph, k: int) -> VcInstance:
     return _flow_vc_instance(h, k)
 
 
-def _pruning_threshold(g: Graph, costs: dict, k: int, agent: str):
-    """Highest bid at which `agent` stays inside the min-cost
-    (k+1)-flow, with everyone else's bids fixed. None when dropping
-    the agent disconnects the flow (the bid never prices it out)."""
-    free = dict(costs)
-    free[agent] = Fraction(0)
-    contained = min_cost_flow(g, free, k + 1).cost
-    without = g.subgraph_edges(e.id for e in g.edges if e.id != agent)
-    try:
-        avoiding = min_cost_flow(without, costs, k + 1).cost
-    except DomainError:
-        return None
-    return avoiding - contained
-
-
 def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     """Run the full flow auction: prune, reduce to covers, pay thresholds.
 
@@ -220,9 +240,13 @@ def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     if k < 1:
         raise InputError("k must be at least 1")
     h = prune_to_support(g, costs, k)
+
+    def solve(c):
+        res = min_cost_flow(g, c, k + 1)
+        return res.support, res.cost
+
     return reduced_run(vc_from_flow(h, k), costs, (e.id for e in g.edges),
-                       lambda w: _pruning_threshold(g, costs, k, w),
-                       {"pruned_support": sorted(e.id for e in h.edges)})
+                       solve, {"pruned_support": sorted(e.id for e in h.edges)})
 
 
 def nu_flow_fast(h: Graph, costs: dict, k: int) -> Fraction:

@@ -9,11 +9,13 @@ The traversal layer: `adjacency` builds a successor (or predecessor)
 map, `reach` returns everything a vertex reaches in such a map, and
 `components` returns undirected connected components; every
 reachability question goes through them. `shortest_paths` is the one
-shortest-path search, a Bellman-Ford on lexicographic integer pairs
-that the min-cost flow and the relief flow run on their residual
-graphs, and `path_labels` reads a path out of its result. State lives
-for one call; nothing is cached on `Graph`. `check_network` holds the
-structural checks that flow and cut networks share.
+shortest-path search, a Bellman-Ford on lexicographic integer pairs:
+`flow.successive_shortest_paths` runs it on each residual graph it
+augments in, and the cut auction on the relief flow's residual graph
+to read off its candidate cuts. `path_labels` reads a path out of its
+result. Traversal state lives for one call; a `Graph` caches only its
+`edge_by_id` map and its sorted out-edge lists. `check_network` holds
+the structural checks that flow and cut networks share.
 """
 
 from __future__ import annotations

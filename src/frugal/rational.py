@@ -5,10 +5,11 @@ All costs, bids, LP data, and Nash-bound values in this package are
 denominator). JSON files carry them as strings like "3/2"; bare
 integers are accepted as shorthand. The flow and cut solvers run on
 the costs' exact integer images (`integer_costs`), and that conversion
-is also the one cost check: a missing, non-finite (NaN, +-inf) or
-negative cost is an InputError. The flow and cut auctions meet it in
-their first solve, the cover auction when it scales its bids, so a
-non-finite bid is an error in all three.
+is also the one cost check: a missing, non-numeric (a bool or a
+string, say), non-finite (NaN, +-inf) or negative cost is an
+InputError. The flow and cut auctions meet it in their first solve,
+the cover auction when it scales its bids, so such a bid is an error
+in all three.
 """
 
 from __future__ import annotations
@@ -47,14 +48,19 @@ def integer_costs(costs: dict) -> tuple[int, dict]:
     denominator, exactly for int, Fraction and float alike, so sums of
     the integers order and tie exactly as the sums of the costs do.
 
-    This is the cost rule: a cost of None (missing), NaN, +-inf or
-    below zero raises InputError naming its key."""
+    This is the cost rule: a cost of None (missing), a bool, anything
+    without `as_integer_ratio` (a str, say), NaN, +-inf or below zero
+    raises InputError naming its key."""
     ratios = {}
     for key, c in costs.items():
         if c is None:
             raise InputError(f"missing cost for {key!r}")
+        ratio = getattr(c, "as_integer_ratio", None)
+        if ratio is None or c is True or c is False:
+            raise InputError(f"cost for {key!r} has unsupported type "
+                             f"{type(c).__name__}")
         try:
-            num, den = c.as_integer_ratio()
+            num, den = ratio()
         except (OverflowError, ValueError):
             raise InputError(f"non-finite cost for {key!r}") from None
         if num < 0:

@@ -8,6 +8,7 @@ from frugal.cut import (CutCoverSolver, _cut_vc_instance, cm_run,
                         contract_to_h, cut_conflict_graph, double_cut_lp,
                         is_double_cut, min_double_cut, path_edge_ids,
                         prune_redundant, select_double_cut)
+from frugal.eigen import ev_run
 from frugal.errors import DomainError, InputError, MonopolyError
 from frugal.graph import Graph, reachable
 from frugal.oracle import (brute_double_cut, canonical_double_cut_reference,
@@ -324,6 +325,46 @@ def test_cm_payment_capped_by_selection_threshold():
     assert out.payments["e2_3"] == pytest.approx(0.25, abs=1e-9)
     probe = dict(costs, e2_3=F(3, 10))
     assert "e2_3" not in cm_run(g, probe).winners
+
+
+def pricing_out_exit(core, costs, agent):
+    """Reference exit bid: the minimum double cut's cost with the agent
+    priced above all core bids, less its cost with the agent free;
+    None when every double cut keeps the agent."""
+    contained = min_double_cut(core, {**costs, agent: F(0)}).cost
+    high = sum(costs[e.id] for e in core.edges) + 1
+    avoiding = min_double_cut(core, {**costs, agent: high})
+    if agent in avoiding.double_cut:
+        return None
+    return avoiding.cost - contained
+
+
+def test_cm_exit_cap_matches_the_pricing_out_rule():
+    rng = random.Random(72)
+    checked = binding = no_exit = 0
+    while checked < 100:
+        g = random_cut_network(rng, rng.randint(4, 8), rng.randint(3, 12))
+        costs = random_costs(rng, [e.id for e in g.edges])
+        try:
+            out = cm_run(g, costs)
+        except (MonopolyError, DomainError):
+            continue
+        checked += 1
+        core, result = select_double_cut(g, costs)
+        ev = ev_run(_cut_vc_instance(contract_to_h(core, result.double_cut)),
+                    costs)
+        expected = dict.fromkeys((e.id for e in g.edges), 0.0)
+        expected.update(ev.payments)
+        for w in ev.winners:
+            tau = pricing_out_exit(core, costs, w)
+            if tau is None:
+                no_exit += 1
+            elif float(tau) < expected[w]:
+                binding += 1
+                expected[w] = float(tau)
+        assert out.winners == ev.winners
+        assert out.payments == expected
+    assert binding > 0 and no_exit > 0
 
 
 def test_path_edge_ids(path_graph):

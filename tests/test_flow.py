@@ -7,10 +7,12 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from frugal.eigen import ev_run
 from frugal.errors import DomainError, InputError, MonopolyError
 from frugal.flow import (FlowCoverSolver, conflict_graph, decompose_paths,
                          fm_run, min_cost_flow, nu_flow_fast,
-                         prune_to_support, vc_from_flow)
+                         prune_to_support, successive_shortest_paths,
+                         vc_from_flow)
 from frugal.graph import Graph, reachable
 from frugal.oracle import random_costs, random_flow_network
 from frugal.setsystems import K_FLOW, SetSystem, nu, tot, unit_costs
@@ -70,6 +72,50 @@ def test_fm_run_rejects_non_finite_bids(three_flow, bad):
         fm_run(three_flow, costs, 2)
     with pytest.raises(InputError):
         min_cost_flow(three_flow, costs, 2)
+
+
+# s->a->t costs 2 per unit and carries 3 units; s->b->t costs 4 per
+# unit and carries 2 (b->t uncapacitated).
+CAPACITATED = [("s", "a", 3, (1, 0)), ("a", "t", 5, (1, 0)),
+               ("s", "b", 2, (2, 0)), ("b", "t", None, (2, 0))]
+
+
+def test_successive_shortest_paths_pushes_the_bottleneck():
+    flow, value = successive_shortest_paths("sabt", CAPACITATED, "s", "t")
+    assert (flow, value) == ([3, 3, 2, 2], 5)
+
+
+def test_successive_shortest_paths_stops_at_a_value():
+    flow, value = successive_shortest_paths("sabt", CAPACITATED, "s", "t",
+                                            value=4)
+    assert (flow, value) == ([3, 3, 1, 1], 4)
+
+
+def test_successive_shortest_paths_stops_below_a_length():
+    # The second path is 4 long: not below 4, below 5.
+    flow, value = successive_shortest_paths("sabt", CAPACITATED, "s", "t",
+                                            below=4)
+    assert (flow, value) == ([3, 3, 0, 0], 3)
+    flow, value = successive_shortest_paths("sabt", CAPACITATED, "s", "t",
+                                            below=5)
+    assert (flow, value) == ([3, 3, 2, 2], 5)
+
+
+def test_successive_shortest_paths_reroutes_through_a_backward_arc():
+    # Two units must undo one of the three pushed along s->a->b->t.
+    arcs = [("s", "a", 3, (0, 0)), ("a", "b", 3, (0, 0)),
+            ("b", "t", 3, (0, 0)), ("s", "b", 2, (3, 0)),
+            ("a", "t", 2, (3, 0))]
+    flow, value = successive_shortest_paths("sabt", arcs, "s", "t", value=5)
+    assert (flow, value) == ([3, 1, 3, 2, 2], 5)
+
+
+def test_successive_shortest_paths_needs_a_capacity_on_each_path():
+    arcs = [("s", "a", None, (0, 0)), ("a", "t", None, (1, 0))]
+    with pytest.raises(DomainError, match="unbounded"):
+        successive_shortest_paths("sat", arcs, "s", "t", below=2)
+    assert successive_shortest_paths("sat", arcs, "s", "t",
+                                     value=2) == ([2, 2], 2)
 
 
 def test_min_cost_flow_total_keeps_the_cost_type():
@@ -340,3 +386,45 @@ def test_flow_vc_instances_have_no_isolated_agents():
                  for e in g.edges}
         h = prune_to_support(g, costs, k)
         assert vc_from_flow(h, k).isolated == ()
+
+
+def deletion_exit(g, costs, k, agent):
+    """Reference exit bid: the (k+1)-flow's cost with the agent's edge
+    deleted, less its cost with the agent free; None when no
+    (k+1)-flow avoids the edge."""
+    contained = min_cost_flow(g, dict(costs, **{agent: Fraction(0)}),
+                              k + 1).cost
+    without = g.subgraph_edges(e.id for e in g.edges if e.id != agent)
+    try:
+        return min_cost_flow(without, costs, k + 1).cost - contained
+    except DomainError:
+        return None
+
+
+def test_fm_exit_cap_matches_the_deletion_rule():
+    # Pricing a winner above all bids and deleting its edge give the
+    # same exit: payments are the cover auction's, capped by it.
+    rng = random.Random(71)
+    checked = binding = no_exit = 0
+    while checked < 100:
+        k = rng.randint(1, 3)
+        g = random_flow_network(rng, k, rng.randint(0, 6))
+        costs = random_costs(rng, [e.id for e in g.edges])
+        try:
+            out = fm_run(g, costs, k)
+        except MonopolyError:
+            continue
+        checked += 1
+        ev = ev_run(vc_from_flow(prune_to_support(g, costs, k), k), costs)
+        expected = dict.fromkeys((e.id for e in g.edges), 0.0)
+        expected.update(ev.payments)
+        for w in ev.winners:
+            tau = deletion_exit(g, costs, k, w)
+            if tau is None:
+                no_exit += 1
+            elif float(tau) < expected[w]:
+                binding += 1
+                expected[w] = float(tau)
+        assert out.winners == ev.winners
+        assert out.payments == expected
+    assert binding > 0 and no_exit > 0

@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from frugal.cut import cm_run
+from frugal.eigen import build_vc_instance, ev_run
 from frugal.errors import InputError
+from frugal.flow import fm_run
+from frugal.graph import Graph
 from frugal.rational import integer_costs
+from frugal.setsystems import VERTEX_COVER, SetSystem, nu
 
 
 def test_integer_costs_share_one_scale():
@@ -25,3 +30,30 @@ def test_integer_costs_enforce_the_cost_rule(bad):
 
 def test_negative_zero_is_a_zero_cost():
     assert integer_costs({"e": -0.0}) == (1, {"e": 0})
+
+
+TRIANGLE = Graph.build("abc", [("ab", "a", "b"), ("bc", "b", "c"),
+                               ("ca", "c", "a")], directed=False)
+DIAMOND = Graph.build("sabt", [("sa", "s", "a"), ("at", "a", "t"),
+                               ("sb", "s", "b"), ("bt", "b", "t")],
+                      directed=True, source="s", sink="t")
+ENTRY_POINTS = {
+    "nu": lambda bad: nu(SetSystem(VERTEX_COVER, TRIANGLE),
+                         {"a": bad, "b": 0, "c": 1}),
+    "ev_run": lambda bad: ev_run(
+        build_vc_instance(TRIANGLE, dict.fromkeys("abc", Fraction(2))),
+        {"a": bad, "b": 0, "c": 1}),
+    "fm_run": lambda bad: fm_run(DIAMOND, {"sa": bad, "at": 1, "sb": 0,
+                                           "bt": 1}, 1),
+    "cm_run": lambda bad: cm_run(DIAMOND, {"sa": bad, "at": 1, "sb": 0,
+                                           "bt": 1}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [True, False, "1"])
+def test_non_numeric_costs_are_input_errors(entry, bad):
+    # A bool is not taken as 0 or 1 and a str does not reach
+    # as_integer_ratio: the message names the agent.
+    with pytest.raises(InputError, match="'(a|sa)'"):
+        ENTRY_POINTS[entry](bad)
