@@ -256,38 +256,33 @@ def min_double_cut(g: Graph, costs: dict,
     _check_cut_input(g)
     order = sorted(e.id for e in g.edges)
     scale, exact = integer_costs({eid: costs.get(eid) for eid in order})
-    if not canonical:
-        r = _min_double_cut_any(g, exact)
-        return DoubleCutResult(
-            r.double_cut, Fraction(r.cost, scale),
-            Fraction(r.dual_objective, scale),
-            r.certified, r.method, r.cuts, _unscale(r.flow_value, scale),
-            _unscale(r.relief_total, scale))
-    m = len(order)
-    perturbed = {eid: (exact[eid] << m) + (1 << (m - 1 - rank))
-                 for rank, eid in enumerate(order)}
-    r = _min_double_cut_any(g, perturbed)
-    cost = Fraction(sum(exact[eid] for eid in r.double_cut), scale)
-    return DoubleCutResult(r.double_cut, cost, cost, r.certified, r.method,
-                           r.cuts)
+    solve_costs = exact
+    if canonical:
+        m = len(order)
+        solve_costs = {eid: (exact[eid] << m) + (1 << (m - 1 - rank))
+                       for rank, eid in enumerate(order)}
+    d, dual_obj, method, cuts, relief = _min_double_cut_any(g, solve_costs)
+    cost = Fraction(sum(exact[eid] for eid in d), scale)
+    if canonical:
+        return DoubleCutResult(d, cost, cost, True, method, cuts)
+    return DoubleCutResult(d, cost, Fraction(dual_obj, scale), True, method,
+                           cuts, *(Fraction(x, scale) for x in relief))
 
 
-def _unscale(value, scale: int) -> Optional[Fraction]:
-    return None if value is None else Fraction(value, scale)
-
-
-def _min_double_cut_any(g: Graph, costs: dict) -> DoubleCutResult:
+def _min_double_cut_any(g: Graph, costs: dict):
+    """(double cut, dual objective, method, cuts, (flow value, relief
+    total)) on integer costs; the last two are None and () when the LP
+    fallback answers."""
     f, r, flow_value = _relief_flow(g, costs)
     relief_total = sum(r.values())
     dual_obj = 2 * flow_value - relief_total
     for s1, s2 in _cut_candidates(g, costs, f, r):
         d = _certified_cut(g, costs, s1, s2, dual_obj)
         if d is not None:
-            cost = sum((costs[eid] for eid in d), ZERO)
-            return DoubleCutResult(d, cost, dual_obj, True, "primal-dual",
-                                   (s1, s2), flow_value, relief_total)
+            return (d, dual_obj, "primal-dual", (s1, s2),
+                    (flow_value, relief_total))
     chosen, value = double_cut_lp(g, costs)
-    return DoubleCutResult(chosen, value, value, True, "lp-fallback", None)
+    return chosen, value, "lp-fallback", None, ()
 
 
 def prune_redundant(g: Graph, costs: dict, d: frozenset) -> frozenset:
@@ -308,14 +303,6 @@ class BundleStructure:
     h: Graph
     # one entry per middle block v_i: (v_i, E_i edge ids, E_i' edge ids)
     bundles: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
-
-    @property
-    def middles(self) -> tuple[str, ...]:
-        return tuple(v for v, _, _ in self.bundles)
-
-    @property
-    def sides(self) -> dict:
-        return {v: (left, right) for v, left, right in self.bundles}
 
 
 def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
@@ -391,8 +378,7 @@ def cut_conflict_graph(bundles: BundleStructure) -> Graph:
     pairing each source-side edge with each sink-side edge."""
     ids = sorted(e.id for e in bundles.h.edges)
     edges = []
-    for v in bundles.middles:
-        left, right = bundles.sides[v]
+    for _, left, right in bundles.bundles:
         for a, b in itertools.product(left, right):
             lo, hi = sorted((a, b))
             edges.append((f"{lo}|{hi}", lo, hi))
@@ -406,32 +392,19 @@ class CutCoverSolver:
     into independent per-bundle side choices."""
 
     def __init__(self, bundles: BundleStructure):
-        self.bundles = bundles
-        self.side_of = {}
-        for v in bundles.middles:
-            left, right = bundles.sides[v]
-            for eid in left:
-                self.side_of[eid] = (v, 0)
-            for eid in right:
-                self.side_of[eid] = (v, 1)
+        self.bundles = bundles.bundles
 
     def _pick(self, costs, pinned=None, banned=None):
         chosen = []
-        total = None
-        for v in self.bundles.middles:
-            options = []
-            for side in (0, 1):
-                ids = self.bundles.sides[v][side]
-                if banned is not None and banned in ids:
-                    continue
-                cost = sum(costs[i] for i in ids if i != pinned)
-                options.append((cost, ids))
-            cost, ids = min(options)
+        total = 0
+        for _, left, right in self.bundles:
+            cost, ids = min((sum(costs[i] for i in ids if i != pinned), ids)
+                            for ids in (left, right) if banned not in ids)
             chosen.extend(ids)
-            total = cost if total is None else total + cost
+            total += cost
         if pinned is not None and pinned not in chosen:
             chosen.append(pinned)
-        return frozenset(chosen), (total if total is not None else 0)
+        return frozenset(chosen), total
 
     def min_cover(self, costs):
         return self._pick(costs)

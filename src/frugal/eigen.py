@@ -53,18 +53,9 @@ class VcInstance:
     tot: dict  # agent -> Fraction, >= 1 on every non-isolated agent
     components: tuple[ComponentEigenpair, ...]
     solver: CoverSolver
-    isolated: tuple[str, ...] = ()
-
-    @property
-    def agents(self) -> tuple[str, ...]:
-        return tuple(sorted(self.conflict_graph.vertices))
-
-    @property
-    def q(self) -> dict:
-        out = {}
-        for comp in self.components:
-            out.update(comp.vector)
-        return out
+    isolated: tuple[str, ...]
+    agents: tuple[str, ...]  # the conflict graph's vertices, sorted
+    q: dict  # agent -> its component's eigenvector entry
 
     @property
     def max_eigenvalue(self) -> float:
@@ -207,8 +198,9 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
                       solver: CoverSolver | None = None) -> VcInstance:
     """Strip isolated agents, then compute per-component eigenpairs.
 
-    Only the remaining agents need a Tot value, and it must be >= 1; an
-    isolated agent's Tot is 0 (its neighbourhood is empty)."""
+    Only the remaining agents need a Tot value. It passes the cost rule
+    of `rational.integer_costs` and must be >= 1; an isolated agent's
+    Tot is 0 (its neighbourhood is empty)."""
     if conflict_graph.directed:
         raise InputError("conflict graph must be undirected")
     if any(e.tail == e.head for e in conflict_graph.edges):
@@ -217,9 +209,11 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
     touched = {v for e in conflict_graph.edges for v in (e.tail, e.head)}
     isolated = tuple(sorted(set(conflict_graph.vertices) - touched))
     live = tuple(sorted(touched))
+    try:
+        integer_costs({v: tot.get(v) for v in live})
+    except InputError as exc:
+        raise InputError(f"Tot values follow the cost rule: {exc}") from None
     for v in live:
-        if v not in tot:
-            raise InputError(f"missing Tot value for agent {v!r}")
         if tot[v] < 1:
             raise InputError(f"Tot({v!r}) must be >= 1")
     stripped = Graph(live, conflict_graph.edges, directed=False)
@@ -232,7 +226,9 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
         comps.append(_component_eigenpair(agents, local_adj, tot))
     if solver is None:
         solver = BruteForceCoverSolver(stripped)
-    return VcInstance(stripped, dict(tot), tuple(comps), solver, isolated)
+    q = {a: x for comp in comps for a, x in comp.vector.items()}
+    return VcInstance(stripped, dict(tot), tuple(comps), solver, isolated,
+                      live, q)
 
 
 def scaled_costs(inst: VcInstance, bids: dict) -> dict:
@@ -240,8 +236,7 @@ def scaled_costs(inst: VcInstance, bids: dict) -> dict:
     the package's one cost rule first: a missing, non-finite or
     negative bid is an InputError."""
     integer_costs({a: bids.get(a) for a in inst.agents})
-    q = inst.q
-    return {a: float(bids[a]) / q[a] for a in inst.agents}
+    return {a: float(bids[a]) / inst.q[a] for a in inst.agents}
 
 
 def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:

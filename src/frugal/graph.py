@@ -111,7 +111,7 @@ class Graph:
                      self.source, self.sink)
 
 
-def enumerate_st_paths(g: Graph, path_cap: int | None = None) -> list[list[str]]:
+def enumerate_st_paths(g: Graph) -> list[list[str]]:
     """All simple directed s-t paths as ordered edge-id lists.
 
     Deterministic: paths come out in lexicographic order of their
@@ -119,7 +119,7 @@ def enumerate_st_paths(g: Graph, path_cap: int | None = None) -> list[list[str]]
     """
     if g.source is None or g.sink is None:
         raise InputError("graph has no designated source/sink")
-    limit = cap(PATH_CAP) if path_cap is None else path_cap
+    limit = cap(PATH_CAP)
     paths: list[list[str]] = []
     trail: list[str] = []
     visited = {g.source}

@@ -112,7 +112,7 @@ def _simplex_leq(c: list[Fraction], rows: list[tuple[list[Fraction], Fraction]])
         for col in art_cols.values():
             obj[col] = -ONE
         for i in neg:
-            row = tab[_row_of(basis, art_cols[i])]
+            row = tab[basis.index(art_cols[i])]
             for j in range(width):
                 obj[j] += row[j]
         status = _pivot_loop(tab, basis, obj, n + m + n_art)
@@ -139,10 +139,6 @@ def _simplex_leq(c: list[Fraction], rows: list[tuple[list[Fraction], Fraction]])
         if bv < n:
             y[bv] = tab[i][-1]
     return y
-
-
-def _row_of(basis: list[int], col: int) -> int:
-    return basis.index(col)
 
 
 def _pivot_loop(tab, basis, obj, n_cols, forbid=None) -> str:

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import caps
-from .cut import DoubleCutResult, double_cut_lp, min_double_cut
+from .cut import DoubleCutResult, min_double_cut
 from .eigen import AuctionOutcome
-from .errors import DomainError
+from .errors import DomainError, ScaleError
 from .graph import Graph, enumerate_st_paths, reachable, st_cut_crossings
 
 Mechanism = Callable[[dict], AuctionOutcome]
@@ -28,11 +28,11 @@ Mechanism = Callable[[dict], AuctionOutcome]
 def brute_double_cut(g: Graph, costs: dict) -> tuple[frozenset, Fraction]:
     """Minimum double cut by subset enumeration (bitmask per path).
 
-    Falls back to the exact LP beyond the enumeration cap; either way
-    the answer is exact."""
+    Brute force only: ScaleError beyond the enumeration cap on edges."""
     order = sorted(e.id for e in g.edges)
-    if len(order) > caps.cap(caps.DOUBLE_CUT_ENUM_EDGES):
-        return double_cut_lp(g, costs)
+    limit = caps.cap(caps.DOUBLE_CUT_ENUM_EDGES)
+    if len(order) > limit:
+        raise ScaleError(f"double cut enumeration capped at {limit} edges")
     idx = {eid: i for i, eid in enumerate(order)}
     path_masks = []
     for path in enumerate_st_paths(g):
@@ -109,17 +109,16 @@ def _as_fraction(x) -> Fraction:
 
 def check_truthfulness(mechanism: Mechanism, agents: Iterable[str],
                        rng: random.Random, trials: int = 20,
-                       max_cost: int = 8,
-                       payment_tol: float = 1e-6) -> PerturbationReport:
+                       max_cost: int = 8) -> PerturbationReport:
     """Black-box probe of the three threshold-auction properties.
 
     Per trial on random rational costs: a loser raising its bid must
     keep the same winning set; a winner lowering its bid must keep the
-    same winning set; and one winner's payment must match its threshold
-    bid (found by bisection). Agents whose payment equals their cost
-    with zero slack are skipped for the lowering check when their cost
-    is already zero. A draw whose base run raises DomainError is not a
-    trial; it is counted in `skipped`."""
+    same winning set; and one winner's payment must match, to a relative
+    1e-6, its threshold bid (found by bisection). Agents whose payment
+    equals their cost with zero slack are skipped for the lowering check
+    when their cost is already zero. A draw whose base run raises
+    DomainError is not a trial; it is counted in `skipped`."""
     agents = sorted(agents)
     report = PerturbationReport()
     for trial in range(trials):
@@ -163,14 +162,14 @@ def check_truthfulness(mechanism: Mechanism, agents: Iterable[str],
             if threshold is None:
                 report.violations.append(
                     ("unbounded-threshold", trial, win_probe, paid))
-            elif abs(threshold - paid) > payment_tol * max(1.0, abs(paid)):
+            elif abs(threshold - paid) > 1e-6 * max(1.0, abs(paid)):
                 report.violations.append(
                     ("payment-mismatch", trial, win_probe, paid, threshold))
     return report
 
 
-def _bisect_threshold(mechanism: Mechanism, costs: dict, agent: str,
-                      iterations: int = 60) -> Optional[float]:
+def _bisect_threshold(mechanism: Mechanism, costs: dict,
+                      agent: str) -> Optional[float]:
     """Largest bid at which `agent` still wins, others fixed."""
 
     def wins(bid: Fraction) -> bool:
@@ -186,7 +185,7 @@ def _bisect_threshold(mechanism: Mechanism, costs: dict, agent: str,
         lo, hi = hi, hi * 2 + 1
     else:
         return None
-    for _ in range(iterations):
+    for _ in range(60):
         mid = (lo + hi) / 2
         if wins(mid):
             lo = mid
@@ -259,14 +258,14 @@ def random_dag(rng: random.Random, n: int, extra_edges: int) -> Graph:
     return Graph.build(verts, edges, True, "s", "t")
 
 
-def random_kplus1_flow(rng: random.Random, k: int,
-                       max_len: int = 3) -> Graph:
-    """A graph that is exactly k+1 edge-disjoint s-t paths over fresh
-    interior vertices (so it equals its own pruned support)."""
+def random_kplus1_flow(rng: random.Random, k: int) -> Graph:
+    """A graph that is exactly k+1 edge-disjoint s-t paths of 1 to 3
+    edges over fresh interior vertices (so it equals its own pruned
+    support)."""
     verts = ["s", "t"]
     edges = []
     for p in range(k + 1):
-        hops = rng.randint(1, max_len)
+        hops = rng.randint(1, 3)
         prev = "s"
         for h in range(hops - 1):
             v = f"p{p}n{h}"
@@ -307,6 +306,6 @@ def random_cut_network(rng: random.Random, n: int,
             return g
 
 
-def random_costs(rng: random.Random, agents: Iterable[str],
-                 max_cost: int = 6) -> dict:
-    return {a: Fraction(rng.randint(0, max_cost)) for a in sorted(agents)}
+def random_costs(rng: random.Random, agents: Iterable[str]) -> dict:
+    """Integer costs 0 to 6, drawn in sorted agent order."""
+    return {a: Fraction(rng.randint(0, 6)) for a in sorted(agents)}

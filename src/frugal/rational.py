@@ -7,14 +7,16 @@ integers are accepted as shorthand. The flow and cut solvers run on
 the costs' exact integer images (`integer_costs`), and that conversion
 is also the one cost check: a missing, non-numeric (a bool or a
 string, say), non-finite (NaN, +-inf) or negative cost is an
-InputError. The flow and cut auctions meet it in their first solve,
-the cover auction when it scales its bids, so such a bid is an error
-in all three.
+InputError, and a numpy integer counts as the integer it holds. The
+flow and cut auctions meet it in their first solve, the cover auction
+when it scales its bids, so such a bid is an error in all three; Tot
+values meet it in `eigen.build_vc_instance`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from .errors import InputError
@@ -47,15 +49,21 @@ def integer_costs(costs: dict) -> tuple[int, dict]:
     `c.as_integer_ratio()` gives Fraction(c)'s numerator and
     denominator, exactly for int, Fraction and float alike, so sums of
     the integers order and tie exactly as the sums of the costs do.
+    Any other `numbers.Rational` (a numpy integer, say) gives its own
+    numerator and denominator.
 
-    This is the cost rule: a cost of None (missing), a bool, anything
-    without `as_integer_ratio` (a str, say), NaN, +-inf or below zero
-    raises InputError naming its key."""
+    This is the cost rule: a cost of None (missing), a bool (numpy's
+    included), anything neither rational nor with `as_integer_ratio`
+    (a str, say), NaN, +-inf or below zero raises InputError naming
+    its key."""
     ratios = {}
     for key, c in costs.items():
         if c is None:
             raise InputError(f"missing cost for {key!r}")
         ratio = getattr(c, "as_integer_ratio", None)
+        if ratio is None and isinstance(c, numbers.Rational):
+            ratio = Fraction(int(c.numerator),
+                             int(c.denominator)).as_integer_ratio
         if ratio is None or c is True or c is False:
             raise InputError(f"cost for {key!r} has unsupported type "
                              f"{type(c).__name__}")

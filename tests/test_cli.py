@@ -101,6 +101,19 @@ def test_vc_auction_with_an_isolated_vertex(capsys, write, triangle_graph):
     assert data["tot"]["z"] == "0/1"
 
 
+def test_vc_auction_with_a_tot_file(capsys, write, triangle_graph):
+    # The --tot auto map, read back from a file, gives the same run.
+    triangle_graph["vertices"].append("z")
+    graph = write("g.json", triangle_graph)
+    bids = write("b.json", {"a": "1", "b": "0", "c": "5/2", "z": "5"})
+    argv = ["vc-auction", "--graph", graph, "--bids", bids, "--tot"]
+    assert main(argv + ["auto"]) == 0
+    auto = capsys.readouterr().out
+    tot_file = write("tot.json", json.loads(auto)["tot"])
+    assert main(argv + [tot_file]) == 0
+    assert capsys.readouterr().out == auto
+
+
 def test_flow_auction(capsys, write, three_flow_json):
     graph = write("g.json", three_flow_json)
     code, data = run(capsys, ["flow-auction", "--graph", graph, "-k", "2"])

@@ -157,8 +157,8 @@ def test_contract_path_to_single_bundle(path_graph):
 
 def test_contract_diamond(diamond):
     bundles = contract_to_h(diamond, frozenset({"sa", "sb", "at", "bt"}))
-    assert bundles.sides == {"a": (("sa",), ("at",)),
-                             "b": (("sb",), ("bt",))}
+    assert bundles.bundles == (("a", ("sa",), ("at",)),
+                               ("b", ("sb",), ("bt",)))
 
 
 def test_contract_rejects_middle_edge(path_graph):

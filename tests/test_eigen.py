@@ -59,6 +59,14 @@ def test_build_rejects_small_tot(triangle):
         build_vc_instance(triangle, {"a": Fraction(1, 2), "b": ONE, "c": ONE})
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), True, "2"])
+def test_tot_values_pass_the_cost_rule(triangle, bad):
+    # inf once gave q = 0 and a ZeroDivisionError, NaN a slow failed
+    # power iteration, True a Tot of 1 and "2" a TypeError.
+    with pytest.raises(InputError, match="'b'"):
+        build_vc_instance(triangle, {"a": ONE, "b": bad, "c": ONE})
+
+
 def test_isolated_agents_lose_free():
     # No minimal cover holds an isolated agent, so it loses and is paid
     # 0. Its Tot is 0 (an empty neighbourhood), and that must not stop

@@ -49,12 +49,13 @@ def test_st_paths_lexicographic(three_flow):
     assert paths == [["u"], ["v", "x"], ["w", "y"]]
 
 
-def test_st_path_cap():
+def test_st_path_cap(monkeypatch):
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "2")
     g = Graph.build(["s", "t"],
                     [("e1", "s", "t"), ("e2", "s", "t"), ("e3", "s", "t")],
                     source="s", sink="t")
     with pytest.raises(ScaleError):
-        enumerate_st_paths(g, path_cap=2)
+        enumerate_st_paths(g)
 
 
 def test_st_paths_need_endpoints(triangle):

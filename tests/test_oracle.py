@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from frugal.cut import cm_run, double_cut_lp, min_double_cut
-from frugal.eigen import build_vc_instance, ev_run
-from frugal.errors import MonopolyError
+from frugal.cut import (CutCoverSolver, cm_run, contract_to_h, double_cut_lp,
+                        min_double_cut)
+from frugal.eigen import AuctionOutcome, build_vc_instance, ev_run
+from frugal.errors import MonopolyError, ScaleError
 from frugal.flow import conflict_graph, fm_run, nu_flow_fast
 from frugal.graph import Graph
 from frugal.oracle import (brute_conflict_pairs, brute_double_cut,
@@ -42,6 +43,12 @@ def test_brute_double_cut_matches_lp():
         _, brute = brute_double_cut(g, costs)
         _, exact = double_cut_lp(g, costs)
         assert brute == exact
+
+
+def test_brute_double_cut_is_capped(monkeypatch, diamond):
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "3")
+    with pytest.raises(ScaleError):
+        brute_double_cut(diamond, {e.id: F(1) for e in diamond.edges})
 
 
 def test_conflict_pairs_match_reachability_rule():
@@ -84,6 +91,48 @@ def test_truthfulness_flags_first_price(triangle):
                                 trials=30)
     assert not report.ok
     assert any(v[0] == "payment-mismatch" for v in report.violations)
+
+
+def triangle_rule(loses_first):
+    """A broken triangle auction: its covers are the vertex pairs, the
+    agent with the largest loses_first(agent, bid) loses, and winners
+    are paid their bids."""
+
+    def run(bids):
+        loser = max(bids, key=lambda a: loses_first(a, bids[a]))
+        payments = {a: 0.0 if a == loser else float(bids[a]) for a in bids}
+        return AuctionOutcome(frozenset(bids) - {loser}, payments,
+                              sum(payments.values()))
+
+    return run
+
+
+@pytest.mark.parametrize("tag, loses_first", [
+    # The cheapest agent loses, so a loser can raise its way in.
+    ("loser-raise", lambda a, bid: (-bid, a)),
+    # A fractional bid loses, so halving a winning odd bid loses.
+    ("winner-lower", lambda a, bid: (bid.denominator > 1, bid, a)),
+    # "a" never loses, at any bid.
+    ("unbounded-threshold", lambda a, bid: (a != "a", bid, a)),
+])
+def test_truthfulness_flags_each_broken_property(triangle, tag, loses_first):
+    report = check_truthfulness(triangle_rule(loses_first),
+                                triangle.vertices, random.Random(4),
+                                trials=30)
+    assert tag in {v[0] for v in report.violations}
+
+
+def test_cut_cover_appends_a_pinned_edge_on_the_dearer_side():
+    # Bundle "a" has sides (sa1, sa2) and (at); with sa1 pinned at price
+    # 0 its side still costs 5 against 1, so sa1 joins the cover alone.
+    g = Graph.build("sabt", [("sa1", "s", "a"), ("sa2", "s", "a"),
+                             ("at", "a", "t"), ("sb", "s", "b"),
+                             ("bt", "b", "t")],
+                    directed=True, source="s", sink="t")
+    solver = CutCoverSolver(contract_to_h(g, frozenset(e.id for e in g.edges)))
+    costs = {"sa1": 7, "sa2": 5, "at": 1, "sb": 2, "bt": 3}
+    assert solver.min_cover_containing("sa1", costs) == (
+        frozenset({"at", "sa1", "sb"}), 3)
 
 
 def test_measure_frugality_triangle(triangle):

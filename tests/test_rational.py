@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from frugal.cut import cm_run
@@ -51,9 +52,28 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("bad", [True, False, "1"])
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1"])
 def test_non_numeric_costs_are_input_errors(entry, bad):
-    # A bool is not taken as 0 or 1 and a str does not reach
-    # as_integer_ratio: the message names the agent.
+    # A bool (numpy's too) is not taken as 0 or 1 and a str does not
+    # reach as_integer_ratio: the message names the agent.
     with pytest.raises(InputError, match="'(a|sa)'"):
         ENTRY_POINTS[entry](bad)
+
+
+def test_numpy_integers_are_the_integers_they_hold():
+    assert integer_costs({"a": np.int64(3), "b": np.uint8(2),
+                          "c": Fraction(1, 2)}) == (2, {"a": 6, "b": 4,
+                                                        "c": 1})
+
+
+@pytest.mark.parametrize("entry, bids", [
+    ("ev_run", {"a": 3, "b": 1, "c": 2}),
+    ("fm_run", {"sa": 3, "at": 1, "sb": 2, "bt": 5}),
+    ("cm_run", {"sa": 3, "at": 1, "sb": 2, "bt": 5}),
+])
+def test_numpy_integer_bids_run_as_int_bids(entry, bids):
+    run = {"ev_run": lambda b: ev_run(build_vc_instance(
+               TRIANGLE, dict.fromkeys("abc", Fraction(2))), b),
+           "fm_run": lambda b: fm_run(DIAMOND, b, 1),
+           "cm_run": lambda b: cm_run(DIAMOND, b)}[entry]
+    assert run({a: np.int64(b) for a, b in bids.items()}) == run(bids)
