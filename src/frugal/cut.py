@@ -35,7 +35,7 @@ from .flow import successive_shortest_paths
 from .graph import (Edge, Graph, adjacency, check_network, components,
                     enumerate_st_paths, reach, shortest_paths)
 from .lp import GEQ, LEQ, LinearProgram, solve
-from .rational import integer_costs
+from .rational import integer_costs, python_integers
 
 ZERO = Fraction(0)
 
@@ -453,7 +453,9 @@ def cm_run(g: Graph, costs: dict) -> AuctionOutcome:
 
     The auction happens on the subgraph of edges lying on some s-t
     path. Off-path edges can't appear in a minimal cut, and contracting
-    them would spuriously merge blocks through edges no path uses."""
+    them would spuriously merge blocks through edges no path uses.
+    Numpy integer bids run as Python ints."""
+    costs = python_integers(costs)
     return auction_on_double_cut(g, costs, *select_double_cut(g, costs))
 
 

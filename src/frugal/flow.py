@@ -27,7 +27,7 @@ from .errors import DomainError, InputError, MonopolyError
 from .eigen import AuctionOutcome, VcInstance, build_vc_instance, reduced_run
 from .graph import (Graph, adjacency, check_network, enumerate_st_paths,
                     path_labels, reach, shortest_paths)
-from .rational import integer_costs
+from .rational import integer_costs, python_integers
 
 
 @dataclass(frozen=True)
@@ -236,9 +236,10 @@ def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     Winners form a k-flow. Edges pruned out of H lose at price 0. A
     winner's payment is capped by the highest bid at which it stays in
     the min-cost (k+1)-flow that defines H. The pruning solve checks
-    the network and every bid."""
+    the network and every bid; numpy integer bids run as Python ints."""
     if k < 1:
         raise InputError("k must be at least 1")
+    costs = python_integers(costs)
     h = prune_to_support(g, costs, k)
 
     def solve(c):

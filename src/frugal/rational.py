@@ -10,7 +10,9 @@ string, say), non-finite (NaN, +-inf) or negative cost is an
 InputError, and a numpy integer counts as the integer it holds. The
 flow and cut auctions meet it in their first solve, the cover auction
 when it scales its bids, so such a bid is an error in all three; Tot
-values meet it in `eigen.build_vc_instance`.
+values meet it in `eigen.build_vc_instance`. The flow and cut auctions
+also sum raw bids, so they take numpy integer bids as Python ints
+(`python_integers`) where the bids enter.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ def integer_costs(costs: dict) -> tuple[int, dict]:
     scale = math.lcm(*(den for _, den in ratios.values()))
     return scale, {key: num * (scale // den)
                    for key, (num, den) in ratios.items()}
+
+
+def python_integers(costs: dict) -> dict:
+    """The costs with each integer of another type (a numpy integer,
+    say) replaced by the Python int it holds, so that sums of costs
+    grow where a fixed-width integer would wrap. Every other value,
+    bools included, is kept as it is for `integer_costs` to judge, so
+    int, Fraction and float costs pass through unchanged."""
+    return {key: int(c) if not isinstance(c, int)
+            and isinstance(c, numbers.Integral) else c
+            for key, c in costs.items()}
 
 
 def format_rational(value: Fraction) -> str:

@@ -11,7 +11,8 @@ materialized explicitly at desk scale:
 nu(sys, c) is the optimal value of the max-total-bid LP over first-price
 equilibrium bids, computed exactly. tot(sys, v) is nu at v's unit cost
 vector; on vertex-cover systems it is computed from v's neighbourhood
-alone, as its fractional clique number.
+alone, as its fractional clique number: the clique number whenever a
+colouring with that many colours exists, the exact LP otherwise.
 """
 
 from __future__ import annotations
@@ -91,20 +92,37 @@ def _minimal_vertex_covers(g: Graph) -> list[frozenset]:
 
 def _maximal_independent_sets(g: Graph) -> list[frozenset]:
     """Every maximal independent set, sorted by its sorted id tuple.
+    Self-loops and edge direction are ignored. The empty graph has
+    none."""
+    verts, adj = _adjacency_masks(g)
+    return [frozenset(verts[i] for i in _bits(mask))
+            for mask in _independent_set_masks(adj)]
 
-    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi,
-    2006) on the non-adjacency relation, so the cliques it lists are
-    the independent sets of g. Self-loops and edge direction are
-    ignored. The empty graph has none."""
+
+def _adjacency_masks(g: Graph) -> tuple[list[str], list[int]]:
+    """g's vertices, sorted, and each one's neighbours as a bitmask
+    over that order (bit i is vertex i). Self-loops and edge direction
+    are ignored."""
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    everyone = (1 << len(verts)) - 1
-    non_adj = [everyone & ~(1 << i) for i in range(len(verts))]
+    adj = [0] * len(verts)
     for e in g.edges:
         if e.tail != e.head:
             i, j = index[e.tail], index[e.head]
-            non_adj[i] &= ~(1 << j)
-            non_adj[j] &= ~(1 << i)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return verts, adj
+
+
+def _independent_set_masks(adj: list[int]) -> list[int]:
+    """The maximal independent sets of the graph with these adjacency
+    masks, as bitmasks in ascending order of their bit positions.
+
+    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi,
+    2006) on the non-adjacency relation, so the cliques it lists are
+    the independent sets."""
+    everyone = (1 << len(adj)) - 1
+    non_adj = [everyone & ~nbrs & ~(1 << i) for i, nbrs in enumerate(adj)]
     limit = caps.cap(caps.INDEPENDENT_SET_CAP)
     found: list[int] = []
 
@@ -124,10 +142,62 @@ def _maximal_independent_sets(g: Graph) -> list[frozenset]:
             cand &= ~bit
             done |= bit
 
-    if verts:
+    if adj:
         expand(0, everyone, 0)
-    sets = [frozenset(verts[i] for i in _bits(mask)) for mask in found]
-    return sorted(sets, key=lambda s: tuple(sorted(s)))
+    return sorted(found, key=_bits)
+
+
+def _coloured_clique_number(adj: list[int]) -> Optional[int]:
+    """The clique number omega of the graph with these adjacency masks,
+    when its vertices can be coloured with omega colours; else None.
+
+    A branch-and-bound search finds omega: a branch ends once its
+    clique plus all its candidates cannot beat the best clique found.
+    Then a backtracking search colours the vertices in falling-degree
+    order, each with a colour its coloured neighbours lack, opening a
+    new colour only after the ones in use. Both searches are
+    exponential in the worst case; together they take at most the
+    independent-set cap's steps and answer None past it."""
+    n = len(adj)
+    steps = caps.cap(caps.INDEPENDENT_SET_CAP)
+    omega = 0
+    branches = [(0, (1 << n) - 1)]  # (clique size, common neighbours)
+    while branches:
+        size, cand = branches.pop()
+        if size + cand.bit_count() <= omega:
+            continue
+        if not cand:
+            omega = size
+            continue
+        steps -= 1
+        if steps < 0:
+            return None
+        bit = cand & -cand
+        branches.append((size, cand ^ bit))
+        branches.append((size + 1, cand & adj[bit.bit_length() - 1]))
+
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    classes = [0] * omega  # the vertices of each colour, as a bitmask
+
+    def colour(i: int, used: int) -> Optional[bool]:
+        nonlocal steps
+        if i == n:
+            return True
+        v = order[i]
+        for c in range(min(used + 1, omega)):
+            if classes[c] & adj[v]:
+                continue
+            steps -= 1
+            if steps < 0:
+                return None
+            classes[c] |= 1 << v
+            done = colour(i + 1, max(used, c + 1))
+            classes[c] ^= 1 << v
+            if done is not False:
+                return done
+        return False
+
+    return omega if colour(0, 0) else None
 
 
 def _bits(mask: int) -> list[int]:
@@ -244,8 +314,9 @@ def tot(sys: SetSystem, agent: str) -> Fraction:
     bids 0, since the cover of every vertex but u and v undercuts it. A
     cover T that holds v caps the total bid on N(v) minus T at T's cost,
     1, and those differences range over the independent sets of G[N(v)].
-    So the LP has deg(v) variables and one row per maximal independent
-    set of G[N(v)], not one per minimal cover of the whole graph. An
+    So nu's LP reduces to the fractional clique LP of G[N(v)], with
+    deg(v) variables, not one row per minimal cover of the whole graph,
+    and `fractional_clique_number` mostly answers it without the LP. An
     isolated vertex gets 0. The k-flow and cut systems solve nu itself."""
     if agent not in sys.agents:
         raise InputError(f"unknown agent {agent!r}")
@@ -255,22 +326,32 @@ def tot(sys: SetSystem, agent: str) -> Fraction:
 
 
 def fractional_clique_number(g: Graph) -> Fraction:
-    """LP over maximal independent sets: max sum(y), sum_{u in I} y_u <= 1.
+    """max sum(y) over y >= 0 with sum_{u in I} y_u <= 1 on every
+    independent set I of g.
 
-    Maximal independent sets suffice because weights are nonnegative.
-    The edgeless graph has value 1 (n >= 1); the empty graph value 0.
+    It lies between the clique number omega and the chromatic number:
+    a clique is a fractional clique of weight omega, and the colour
+    classes of a colouring are a fractional colouring, whose weight
+    bounds it from above by LP duality. So when g can be coloured with
+    omega colours it is omega, and no LP is solved. Only when no such
+    colouring is found (the 5-cycle, say, with value 5/2) does the
+    exact LP over the maximal independent sets decide; maximal sets
+    suffice because weights are nonnegative. A search that runs past
+    the independent-set cap's steps leaves the value to the LP too, so
+    only the LP's own enumeration raises ScaleError. The edgeless graph has
+    value 1 (n >= 1); the empty graph value 0.
     """
     if g.directed:
         raise InputError("fractional clique number needs an undirected graph")
-    verts = sorted(g.vertices)
+    verts, adj = _adjacency_masks(g)
     if not verts:
         return ZERO
-    index = {v: i for i, v in enumerate(verts)}
+    omega = _coloured_clique_number(adj)
+    if omega is not None:
+        return Fraction(omega)
     rows = []
-    for mis in _maximal_independent_sets(g):
-        coeffs = [ZERO] * len(verts)
-        for v in mis:
-            coeffs[index[v]] = Fraction(1)
+    for mask in _independent_set_masks(adj):
+        coeffs = [Fraction(mask >> i & 1) for i in range(len(verts))]
         rows.append((coeffs, LEQ, Fraction(1)))
     sol = solve(LinearProgram.build([1] * len(verts), rows))
     if sol.status != "optimal":

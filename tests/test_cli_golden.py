@@ -26,6 +26,16 @@ COVER = {"directed": False, "vertices": ["a", "b", "c", "d", "e"],
                    {"id": "ac", "tail": "a", "head": "c"},
                    {"id": "de", "tail": "d", "head": "e"}]}
 COVER_BIDS = {"a": "1", "b": "0", "c": "5/2", "d": "3", "e": "2"}
+# The wheel W5: the hub's neighbourhood is a 5-cycle, so its Tot (5/2)
+# comes from the fractional clique LP; each rim vertex's neighbourhood
+# is a path, coloured with its clique number 2.
+WHEEL = {"directed": False, "vertices": ["h", "r0", "r1", "r2", "r3", "r4"],
+         "edges": [{"id": f"h{i}", "tail": "h", "head": f"r{i}"}
+                   for i in range(5)]
+         + [{"id": f"r{i}{(i + 1) % 5}", "tail": f"r{i}",
+             "head": f"r{(i + 1) % 5}"} for i in range(5)]}
+WHEEL_BIDS = {"h": "3", "r0": "1", "r1": "2", "r2": "1/2", "r3": "0",
+              "r4": "5/2"}
 NETWORK = {"directed": True, "source": "s", "sink": "t",
            "vertices": ["s", "a", "b", "t"],
            "edges": [{"id": "sa", "tail": "s", "head": "a", "cost": "2"},
@@ -38,6 +48,8 @@ NETWORK_COSTS = {e["id"]: e["cost"] for e in NETWORK["edges"]}
 FILES = {
     "cover": COVER,
     "cover_bids": COVER_BIDS,
+    "wheel": WHEEL,
+    "wheel_bids": WHEEL_BIDS,
     "network": NETWORK,
     "network_costs": NETWORK_COSTS,
     "vc_system": {"kind": "vertex-cover", "graph": COVER},
@@ -52,6 +64,8 @@ CASES = {
     "frugality_flow": "frugality --suite flow --seed 5 --trials 10",
     "frugality_cut": "frugality --suite cut --seed 5 --trials 10",
     "vc_auction": "vc-auction --graph {cover} --bids {cover_bids} --tot auto",
+    "vc_auction_wheel": "vc-auction --graph {wheel} --bids {wheel_bids} "
+                        "--tot auto",
     "flow_auction": "flow-auction --graph {network} -k 1",
     "cut_auction": "cut-auction --graph {network}",
     "double_cut": "double-cut --graph {network}",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from frugal import caps
 from frugal.errors import DomainError, InputError, ScaleError
 from frugal.graph import (Edge, Graph, adjacency, check_network, components,
                           enumerate_st_paths, graph_from_json, graph_to_json,
@@ -47,6 +48,13 @@ def test_undirected_adjacency_goes_both_ways():
 def test_st_paths_lexicographic(three_flow):
     paths = enumerate_st_paths(three_flow)
     assert paths == [["u"], ["v", "x"], ["w", "y"]]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_scale_cap_override_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", raw)
+    with pytest.raises(InputError, match=f"FRUGAL_SCALE_CAP.*'{raw}'"):
+        caps.cap(caps.PATH_CAP)
 
 
 def test_st_path_cap(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from frugal.cut import cm_run
 from frugal.eigen import build_vc_instance, ev_run
 from frugal.errors import InputError
-from frugal.flow import fm_run
+from frugal.flow import fm_run, vc_from_flow
 from frugal.graph import Graph
-from frugal.rational import integer_costs
+from frugal.rational import integer_costs, python_integers
 from frugal.setsystems import VERTEX_COVER, SetSystem, nu
 
 
@@ -74,6 +74,26 @@ def test_numpy_integers_are_the_integers_they_hold():
 def test_numpy_integer_bids_run_as_int_bids(entry, bids):
     run = {"ev_run": lambda b: ev_run(build_vc_instance(
                TRIANGLE, dict.fromkeys("abc", Fraction(2))), b),
+           "fm_run": lambda b: fm_run(DIAMOND, b, 1),
+           "cm_run": lambda b: cm_run(DIAMOND, b)}[entry]
+    assert run({a: np.int64(b) for a, b in bids.items()}) == run(bids)
+
+
+def test_python_integers_change_only_foreign_integers():
+    costs = {"i": 3, "f": Fraction(1, 2), "x": 0.25, "t": True,
+             "n": np.int64(2**62), "u": np.uint8(7)}
+    out = python_integers(costs)
+    assert all(out[k] is costs[k] for k in "ifxt")
+    assert (type(out["n"]), out["n"]) == (int, 2**62)
+    assert (type(out["u"]), out["u"]) == (int, 7)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", ["ev_run", "fm_run", "cm_run"])
+def test_large_numpy_integer_bids_do_not_wrap(entry):
+    # As int64, 2**62 + 2**62 wraps to a negative sum.
+    bids = {"sa": 2**62, "at": 1, "sb": 2**62, "bt": 3}
+    run = {"ev_run": lambda b: ev_run(vc_from_flow(DIAMOND, 1), b),
            "fm_run": lambda b: fm_run(DIAMOND, b, 1),
            "cm_run": lambda b: cm_run(DIAMOND, b)}[entry]
     assert run({a: np.int64(b) for a, b in bids.items()}) == run(bids)

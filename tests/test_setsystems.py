@@ -9,8 +9,10 @@ import networkx as nx
 import pytest
 
 import frugal
+from frugal import setsystems
 from frugal.errors import InputError, MonopolyError, ScaleError
 from frugal.graph import Graph
+from frugal.lp import LEQ, LinearProgram, solve
 from frugal.setsystems import (CUT, K_FLOW, VERTEX_COVER, SetSystem,
                                _maximal_independent_sets,
                                cheapest_feasible_set,
@@ -253,6 +255,78 @@ def test_independent_sets_capped(monkeypatch):
     monkeypatch.setenv("FRUGAL_SCALE_CAP", "3")
     with pytest.raises(ScaleError):
         _maximal_independent_sets(g)
+
+
+def clique_lp(g):
+    """The fractional clique LP, one row per maximal independent set."""
+    verts = sorted(g.vertices)
+    rows = [([Fraction(v in mis) for v in verts], LEQ, Fraction(1))
+            for mis in _maximal_independent_sets(g)]
+    return solve(LinearProgram.build([1] * len(verts), rows)).value
+
+
+def test_fractional_clique_number_is_the_lp_on_the_atlas():
+    for nxg in nx.graph_atlas_g()[1:]:
+        g = as_graph(nxg)
+        assert fractional_clique_number(g) == clique_lp(g)
+
+
+def test_fractional_clique_number_is_the_lp_on_random_graphs():
+    rng = random.Random(41)
+    for _ in range(240):
+        n = rng.randint(5, 12)
+        nxg = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(2**32))
+        g = as_graph(nxg)
+        assert fractional_clique_number(g) == clique_lp(g)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(setsystems, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nxg, value", [
+    (nx.complete_graph(6), 6),
+    (nx.empty_graph(5), 1),
+    (nx.complete_bipartite_graph(3, 4), 2),
+    (nx.hypercube_graph(3), 2),
+    # Chordal: a fan of triangles with a pendant triangle.
+    (nx.Graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
+               (4, 5), (3, 5)]), 3),
+    (nx.path_graph(7), 2),
+], ids=["complete", "edgeless", "bipartite", "cube", "chordal", "path"])
+def test_perfect_graphs_need_no_lp(lp_calls, nxg, value):
+    g = as_graph(nx.convert_node_labels_to_integers(nxg))
+    assert fractional_clique_number(g) == value
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("nxg, value", [
+    (nx.cycle_graph(5), Fraction(5, 2)),
+    (nx.cycle_graph(7), Fraction(7, 3)),
+    (nx.complement(nx.cycle_graph(7)), Fraction(7, 2)),
+], ids=["C5", "C7", "C7-complement"])
+def test_odd_holes_and_antiholes_solve_one_lp(lp_calls, nxg, value):
+    assert fractional_clique_number(as_graph(nxg)) == value
+    assert len(lp_calls) == 1
+
+
+def test_colouring_search_past_its_cap_leaves_the_value_to_the_lp(
+        lp_calls, monkeypatch):
+    # K4's clique search takes all four steps the cap allows, so the
+    # colouring search gives up at once; its four maximal independent
+    # sets are within the LP's cap.
+    g = as_graph(nx.complete_graph(4))
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "4")
+    assert fractional_clique_number(g) == 4
+    assert len(lp_calls) == 1
 
 
 def test_import_leaves_networkx_unloaded():
