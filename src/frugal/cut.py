@@ -30,7 +30,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, InputError, MonopolyError
-from .eigen import AuctionOutcome, VcInstance, build_vc_instance, reduced_run
+from .eigen import (AuctionOutcome, CoverSolver, VcInstance,
+                    build_vc_instance, reduced_run)
 from .flow import successive_shortest_paths
 from .graph import (Edge, Graph, adjacency, check_network, components,
                     enumerate_st_paths, reach, shortest_paths)
@@ -385,35 +386,25 @@ def cut_conflict_graph(bundles: BundleStructure) -> Graph:
     return Graph.build(ids, edges, directed=False)
 
 
-class CutCoverSolver:
+class CutCoverSolver(CoverSolver):
     """Cover queries on a disjoint union of complete bipartite bundles.
 
-    A cover picks one full side per bundle, so every query decomposes
-    into independent per-bundle side choices."""
+    A minimal cover takes one full side per bundle, so a min cover is
+    the cheaper side of each bundle, the first in (cost, ids) order on
+    a tie."""
 
     def __init__(self, bundles: BundleStructure):
         self.bundles = bundles.bundles
 
-    def _pick(self, costs, pinned=None, banned=None):
+    def min_cover(self, costs):
         chosen = []
         total = 0
         for _, left, right in self.bundles:
-            cost, ids = min((sum(costs[i] for i in ids if i != pinned), ids)
-                            for ids in (left, right) if banned not in ids)
+            cost, ids = min((sum(costs[i] for i in ids), ids)
+                            for ids in (left, right))
             chosen.extend(ids)
             total += cost
-        if pinned is not None and pinned not in chosen:
-            chosen.append(pinned)
         return frozenset(chosen), total
-
-    def min_cover(self, costs):
-        return self._pick(costs)
-
-    def min_cover_containing(self, agent, costs):
-        return self._pick(costs, pinned=agent)
-
-    def min_cover_excluding(self, agent, costs):
-        return self._pick(costs, banned=agent)
 
 
 @lru_cache(maxsize=256)

@@ -5,17 +5,24 @@ K = D A, where A is the conflict-graph adjacency matrix and
 D = diag(1/Tot(v)). Selection is a min-cost vertex cover under the
 scaled bids; winners are paid threshold bids.
 
-Eigenpairs are computed per connected component in floating point
-(power iteration on the symmetrized D^{1/2} A D^{1/2}); the exact Nash
-quantities stay rational elsewhere, so payments here are floats.
+Every cover solver answers one query, `min_cover(costs)`; a cover
+without an agent is the min cover with that agent priced out
+(`price_out`). Eigenpairs are computed per connected component in
+floating point (power iteration on the symmetrized D^{1/2} A D^{1/2});
+the exact Nash quantities stay rational elsewhere, so scaled bids and
+payments here are floats. Each threshold is one correctly rounded sum
+(`math.fsum`) of scaled bids over two covers, so it keeps its low bits
+even when the covers cost 2^53 or more.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,15 +36,37 @@ RAYLEIGH_TOL = 1e-14
 MAX_POWER_ITERATIONS = 200_000
 
 
-class CoverSolver(Protocol):
-    """Three queries every EV instance needs from its cover solver."""
+def price_out(values: Iterable):
+    """A price at which an agent loses whenever anything can replace it:
+    2 * sum(values) + 1, above every set the other values can buy. The
+    doubling keeps it above the sum in float too, where from 2^53
+    upwards `sum + 1` rounds back to the sum."""
+    return 2 * sum(values) + 1
 
-    def min_cover(self, costs: dict) -> tuple[frozenset, float]: ...
 
-    def min_cover_containing(self, agent: str, costs: dict) -> tuple[frozenset, float]:
+class CoverSolver(ABC):
+    """A min-cost vertex cover oracle on one conflict graph.
+
+    Subclasses answer `min_cover` only; the two constrained queries are
+    that query at changed prices."""
+
+    @abstractmethod
+    def min_cover(self, costs: dict) -> tuple[frozenset, object]:
+        """(a min-cost cover under `costs`, its cost)."""
+
+    def min_cover_excluding(self, agent: str, costs: dict):
+        """Min cover without `agent`: `agent` priced out. DomainError
+        when `agent` wins even so."""
+        cover, cost = self.min_cover(
+            {**costs, agent: price_out(costs.values())})
+        if agent in cover:
+            raise DomainError(f"agent {agent!r} is in every cover")
+        return cover, cost
+
+    def min_cover_containing(self, agent: str, costs: dict):
         """Min cover containing `agent`, with `agent` priced at 0."""
-
-    def min_cover_excluding(self, agent: str, costs: dict) -> tuple[frozenset, float]: ...
+        cover, cost = self.min_cover({**costs, agent: 0 * costs[agent]})
+        return cover | {agent}, cost
 
 
 @dataclass(frozen=True)
@@ -109,11 +138,12 @@ def _component_eigenpair(agents: list[str], adj: set[tuple[str, str]],
                               {a: float(q[index[a]]) for a in agents})
 
 
-class BruteForceCoverSolver:
+class BruteForceCoverSolver(CoverSolver):
     """Exhaustive min-cost vertex cover over agent subsets.
 
     Ties broken lexicographically on the sorted agent-id tuple. Capped
-    at 2^20 candidate subsets.
+    at `caps.SUBSET_CAP` (2^20) candidate subsets, or at
+    FRUGAL_SCALE_CAP when that is set.
     """
 
     def __init__(self, conflict_graph: Graph):
@@ -126,72 +156,38 @@ class BruteForceCoverSolver:
             raise ScaleError(f"brute-force cover solver capped at {limit} "
                              f"subsets")
 
-    def _best(self, costs, required=None, forbidden=None):
-        pool = [a for a in self.agents if a != forbidden]
+    def min_cover(self, costs):
         best = None
-        for r in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, r):
+        for r in range(len(self.agents) + 1):
+            for combo in itertools.combinations(self.agents, r):
                 sel = set(combo)
-                if required is not None and required not in sel:
-                    continue
                 if any(u not in sel and v not in sel for u, v in self.edges):
                     continue
-                cost = sum(costs[a] for a in combo if a != required)
-                key = (cost, combo)
+                key = (sum(costs[a] for a in combo), combo)
                 if best is None or key < best:
                     best = key
-        if best is None:
-            raise DomainError("no vertex cover exists under the constraints")
         return frozenset(best[1]), best[0]
 
-    def min_cover(self, costs):
-        return self._best(costs)
 
-    def min_cover_containing(self, agent, costs):
-        return self._best(costs, required=agent)
-
-    def min_cover_excluding(self, agent, costs):
-        return self._best(costs, forbidden=agent)
-
-
-class MinimalCoverSolver:
+class MinimalCoverSolver(CoverSolver):
     """Cover queries answered from the precomputed minimal covers.
 
     Every cover contains a minimal one and extra vertices only add
-    cost, so all three query values are minima over the minimal-cover
-    list: containment prices the pinned agent at zero (append it if
-    absent), exclusion restricts to covers that omit the agent (one
-    always exists, since every vertex is in some maximal independent
-    set). Far faster than subset enumeration when the same instance
-    sees many bid vectors."""
+    cost, so a min cover is a minimum over the minimal-cover list. Far
+    faster than subset enumeration when the same instance sees many bid
+    vectors."""
 
     def __init__(self, conflict_graph: Graph):
         from .setsystems import _minimal_vertex_covers
         self.covers = sorted(_minimal_vertex_covers(conflict_graph),
                              key=lambda s: tuple(sorted(s)))
 
-    @staticmethod
-    def _value(cover, costs, skip=None):
-        return sum(costs[a] for a in sorted(cover) if a != skip)
-
     def min_cover(self, costs):
-        best = min(self.covers,
-                   key=lambda c: (self._value(c, costs), tuple(sorted(c))))
-        return best, self._value(best, costs)
+        def value(cover):
+            return sum(costs[a] for a in sorted(cover))
 
-    def min_cover_containing(self, agent, costs):
-        best = min(self.covers,
-                   key=lambda c: (self._value(c, costs, skip=agent),
-                                  tuple(sorted(c))))
-        return best | {agent}, self._value(best, costs, skip=agent)
-
-    def min_cover_excluding(self, agent, costs):
-        pool = [c for c in self.covers if agent not in c]
-        if not pool:
-            raise DomainError(f"agent {agent!r} is in every cover")
-        best = min(pool, key=lambda c: (self._value(c, costs),
-                                        tuple(sorted(c))))
-        return best, self._value(best, costs)
+        best = min(self.covers, key=lambda c: (value(c), tuple(sorted(c))))
+        return best, value(best)
 
 
 def build_vc_instance(conflict_graph: Graph, tot: dict,
@@ -242,18 +238,22 @@ def scaled_costs(inst: VcInstance, bids: dict) -> dict:
 def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     """Run the eigenvector mechanism on one bid vector.
 
-    Winner u is paid q_u * (B_u - A_u): A_u is the min scaled cover cost
-    with u included and priced 0, B_u the min scaled cover cost without
-    u; their gap is u's threshold in scaled units.
+    Winner u is paid q_u * (B_u - A_u) under the scaled bids m: B_u is
+    the min cover cost without u, A_u the min cover cost with u included
+    and priced 0. With X* the chosen cover and R_u a min cover without
+    u, A_u = m(X* - {u}) (lowering u's own price keeps X* optimal), so
+    the threshold is m(R_u - X*) - m(X* - R_u - {u}), summed exactly and
+    rounded once, so the order of its terms does not matter.
     """
     m = scaled_costs(inst, bids)
     q = inst.q
     winners, _ = inst.solver.min_cover(m)
     payments = {a: 0.0 for a in inst.agents}
     for u in sorted(winners):
-        _, a_val = inst.solver.min_cover_containing(u, m)
-        _, b_val = inst.solver.min_cover_excluding(u, m)
-        payments[u] = q[u] * (b_val - a_val)
+        rest, _ = inst.solver.min_cover_excluding(u, m)
+        payments[u] = q[u] * math.fsum(
+            [m[a] for a in rest - winners]
+            + [-m[a] for a in winners - rest - {u}])
     # No minimal cover holds an isolated agent, so it loses at price 0.
     for a in inst.isolated:
         payments[a] = 0.0
@@ -270,17 +270,17 @@ def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
 
     `solve(costs)` is the reduction's own solve: (the chosen set, its
     cost). A winner can also exit by bidding itself out of the
-    reduction, which caps its payment. Priced above all bids together,
-    the winner drops out whenever anything can replace it, and its exit
-    bid is that solve's cost less the solve's cost with the winner
-    priced at 0; a winner chosen even at that price has no exit. The
-    reduction's `diagnostics` follow the cover auction's."""
+    reduction, which caps its payment. Priced out (`price_out` of all
+    bids), the winner drops out whenever anything can replace it, and
+    its exit bid is that solve's cost less the solve's cost with the
+    winner priced at 0; a winner chosen even at that price has no exit.
+    The reduction's `diagnostics` follow the cover auction's."""
     agents = list(agents)
     outcome = ev_run(inst, bids)
     winners = sorted(outcome.winners)
     payments = dict.fromkeys(agents, 0.0)
     payments.update(outcome.payments)
-    high = sum(bids[a] for a in agents) + 1
+    high = price_out(bids[a] for a in agents)
     for winner in winners:
         _, free = solve({**bids, winner: 0})
         chosen, priced = solve({**bids, winner: high})

@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InputError, MonopolyError
-from .eigen import AuctionOutcome, VcInstance, build_vc_instance, reduced_run
+from .eigen import (AuctionOutcome, CoverSolver, VcInstance,
+                    build_vc_instance, reduced_run)
 from .graph import (Graph, adjacency, check_network, enumerate_st_paths,
                     path_labels, reach, shortest_paths)
 from .rational import integer_costs, python_integers
@@ -187,12 +188,13 @@ def conflict_graph(h: Graph) -> Graph:
     return Graph.build(ids, edges, directed=False)
 
 
-class FlowCoverSolver:
+class FlowCoverSolver(CoverSolver):
     """Cover queries answered by min-cost k-flow computations.
 
     Minimal vertex covers of the conflict graph are exactly the minimal
-    k-flows inside H, so each query reduces to one flow computation:
-    containment prices the pinned edge at zero, exclusion deletes it.
+    k-flows inside H, so a min cover is one min-cost k-flow in H; a
+    priced-out edge drops out of it whenever H holds k paths without
+    it.
     """
 
     def __init__(self, h: Graph, k: int):
@@ -201,17 +203,6 @@ class FlowCoverSolver:
 
     def min_cover(self, costs):
         res = min_cost_flow(self.h, costs, self.k)
-        return res.support, res.cost
-
-    def min_cover_containing(self, agent, costs):
-        pinned = dict(costs)
-        pinned[agent] = 0 * pinned[agent]
-        res = min_cost_flow(self.h, pinned, self.k)
-        return res.support | {agent}, res.cost
-
-    def min_cover_excluding(self, agent, costs):
-        rest = [e.id for e in self.h.edges if e.id != agent]
-        res = min_cost_flow(self.h.subgraph_edges(rest), costs, self.k)
         return res.support, res.cost
 
 

@@ -99,7 +99,7 @@ class Graph:
     def subgraph_edges(self, edge_ids: Iterable[str]) -> "Graph":
         """Subgraph on the given edges, keeping all incident vertices."""
         ids = set(edge_ids)
-        unknown = ids - set(self.edge_by_id)
+        unknown = ids.difference(e.id for e in self.edges)
         if unknown:
             raise InputError(f"unknown edge ids: {sorted(unknown)}")
         kept = tuple(e for e in self.edges if e.id in ids)

@@ -298,10 +298,7 @@ def random_cut_network(rng: random.Random, n: int,
         g = random_dag(rng, n, extra_edges)
         edges = [(e.id, e.tail, e.head) for e in g.edges
                  if not (e.tail == "s" and e.head == "t")]
-        try:
-            g = Graph.build(g.vertices, edges, True, "s", "t")
-        except Exception:
-            continue
+        g = Graph.build(g.vertices, edges, True, "s", "t")
         if reachable(g, "s", "t"):
             return g
 

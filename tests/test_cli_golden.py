@@ -44,6 +44,16 @@ NETWORK = {"directed": True, "source": "s", "sink": "t",
                      {"id": "at", "tail": "a", "head": "t", "cost": "5/2"},
                      {"id": "bt", "tail": "b", "head": "t", "cost": "4"}]}
 NETWORK_COSTS = {e["id"]: e["cost"] for e in NETWORK["edges"]}
+# Two s-t paths with bids near 2^62: `sb` wins and may bid up to 3, a
+# threshold that a float difference of the two cover costs rounds away.
+DIAMOND = {"directed": True, "source": "s", "sink": "t",
+           "vertices": ["s", "a", "b", "t"],
+           "edges": [{"id": "sa", "tail": "s", "head": "a"},
+                     {"id": "at", "tail": "a", "head": "t"},
+                     {"id": "sb", "tail": "s", "head": "b"},
+                     {"id": "bt", "tail": "b", "head": "t"}]}
+DIAMOND_LARGE_BIDS = {"sa": str(2**62), "at": str(2**62 + 2**12),
+                      "sb": "1", "bt": "3"}
 
 FILES = {
     "cover": COVER,
@@ -52,6 +62,8 @@ FILES = {
     "wheel_bids": WHEEL_BIDS,
     "network": NETWORK,
     "network_costs": NETWORK_COSTS,
+    "diamond": DIAMOND,
+    "diamond_large_bids": DIAMOND_LARGE_BIDS,
     "vc_system": {"kind": "vertex-cover", "graph": COVER},
     "flow_system": {"kind": "k-flow", "k": 1, "graph": NETWORK},
     "cut_system": {"kind": "cut", "graph": NETWORK},
@@ -68,6 +80,8 @@ CASES = {
                         "--tot auto",
     "flow_auction": "flow-auction --graph {network} -k 1",
     "cut_auction": "cut-auction --graph {network}",
+    "cut_auction_large_bids": "cut-auction --graph {diamond} "
+                              "--bids {diamond_large_bids}",
     "double_cut": "double-cut --graph {network}",
     "nu_vc": "nu --system {vc_system} --costs {cover_bids}",
     "nu_flow": "nu --system {flow_system} --costs {network_costs}",

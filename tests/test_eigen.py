@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from frugal.eigen import (BruteForceCoverSolver, MinimalCoverSolver,
-                          build_vc_instance, ev_frugality_on_units, ev_run,
-                          probe_lower_bound, unit_bid_vector)
-from frugal.errors import InputError
+from frugal.cut import (_cut_vc_instance, cm_run, contract_to_h,
+                        select_double_cut)
+from frugal.eigen import (BruteForceCoverSolver, CoverSolver,
+                          MinimalCoverSolver, build_vc_instance,
+                          ev_frugality_on_units, ev_run, probe_lower_bound,
+                          scaled_costs, unit_bid_vector)
+from frugal.errors import DomainError, InputError
+from frugal.flow import fm_run, prune_to_support, vc_from_flow
 from frugal.graph import Graph
-from frugal.oracle import random_costs, random_undirected_graph
+from frugal.oracle import (random_costs, random_cut_network,
+                           random_flow_network, random_undirected_graph)
 
 TWO = Fraction(2)
 ONE = Fraction(1)
@@ -208,3 +213,81 @@ def test_eigen_residual_on_random_instances():
                 kq = sum((1 / float(tot[a])) * q[b]
                          for b in inst.conflict_graph.neighbors(a))
                 assert abs(kq - comp.eigenvalue * q[a]) <= 1e-10
+
+
+def test_cover_solvers_answer_one_query():
+    assert CoverSolver.__abstractmethods__ == {"min_cover"}
+
+
+def test_excluding_an_agent_that_still_wins_is_a_domain_error():
+    class KeepsEveryone(CoverSolver):
+        def min_cover(self, costs):
+            return frozenset(costs), sum(costs.values())
+
+    with pytest.raises(DomainError, match="'a'"):
+        KeepsEveryone().min_cover_excluding("a", {"a": 1, "b": 2})
+
+
+def _seeded_instances():
+    """(kind, cover instance, bids) on seeded vc, flow and cut draws."""
+    rng = random.Random(17)
+    for _ in range(12):
+        g = random_undirected_graph(rng, rng.randint(3, 8), p=0.5)
+        if not g.edges:
+            continue
+        yield "vc", instance(g, TWO), random_costs(rng, g.vertices)
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        g = random_flow_network(rng, k, rng.randint(1, 4))
+        bids = random_costs(rng, (e.id for e in g.edges))
+        yield "flow", vc_from_flow(prune_to_support(g, bids, k), k), bids
+    for _ in range(12):
+        g = random_cut_network(rng, rng.randint(4, 7), rng.randint(5, 10))
+        bids = random_costs(rng, (e.id for e in g.edges))
+        core, result = select_double_cut(g, bids)
+        bundles = contract_to_h(core, result.double_cut)
+        yield "cut", _cut_vc_instance(bundles), bids
+
+
+def test_threshold_is_the_exact_sum_rounded_once():
+    # F = m(R_u - X*) - m(X* - R_u - {u}), summed as Fractions: the
+    # payment is q_u times F rounded to the nearest float.
+    kinds = set()
+    for kind, inst, bids in _seeded_instances():
+        m = scaled_costs(inst, bids)
+        winners, _ = inst.solver.min_cover(m)
+        outcome = ev_run(inst, bids)
+        assert outcome.winners == winners
+        for u in winners:
+            rest, _ = inst.solver.min_cover_excluding(u, m)
+            exact = (sum(Fraction(m[a]) for a in rest - winners)
+                     - sum(Fraction(m[a]) for a in winners - rest - {u}))
+            assert outcome.payments[u] == inst.q[u] * float(exact)
+        kinds.add(kind)
+    assert kinds == {"vc", "flow", "cut"}
+
+
+BIG = 2**62
+DIAMOND = Graph.build("sabt", [("sa", "s", "a"), ("at", "a", "t"),
+                               ("sb", "s", "b"), ("bt", "b", "t")],
+                      directed=True, source="s", sink="t")
+PATH = Graph.build("abcd", [("ab", "a", "b"), ("bc", "b", "c"),
+                            ("cd", "c", "d")], directed=False)
+
+
+# Each winner's two covers cost 2^62 and more and differ by a few units;
+# their float difference reads 0, below the winner's bid.
+@pytest.mark.parametrize("run, bids, winner, paid", [
+    (lambda b: fm_run(DIAMOND, b, 1),
+     {"sa": BIG, "at": 1, "sb": BIG, "bt": 3}, "at", 3.0),
+    (lambda b: cm_run(DIAMOND, b),
+     {"sa": BIG, "at": BIG + 2**12, "sb": 1, "bt": 3}, "sb", 3.0),
+    (lambda b: ev_run(instance(PATH, ONE), b),
+     {"a": BIG, "b": BIG + 2**12, "c": 1, "d": 3}, "c", None),
+], ids=["fm_run", "cm_run", "ev_run"])
+def test_large_bids_keep_the_threshold(run, bids, winner, paid):
+    out = run(bids)
+    assert winner in out.winners
+    assert out.payments[winner] >= bids[winner]
+    if paid is not None:
+        assert out.payments[winner] == paid

@@ -6,11 +6,13 @@ import networkx as nx
 import pytest
 
 from frugal import caps
+from frugal.cut import cm_run
 from frugal.errors import DomainError, InputError, ScaleError
 from frugal.graph import (Edge, Graph, adjacency, check_network, components,
                           enumerate_st_paths, graph_from_json, graph_to_json,
                           path_labels, reach, reachable, shortest_paths,
                           st_cut_crossings)
+from frugal.flow import fm_run
 
 
 def test_duplicate_vertex_rejected():
@@ -244,6 +246,13 @@ def test_subgraph_edges_keeps_terminals(three_flow):
     sub = three_flow.subgraph_edges({"v", "x"})
     assert set(sub.vertices) == {"s", "a", "t"}
     assert sub.source == "s"
+
+
+@pytest.mark.parametrize("run", [lambda g, b: fm_run(g, b, 1), cm_run],
+                         ids=["fm_run", "cm_run"])
+def test_auctions_leave_no_id_map_on_the_callers_network(run, diamond):
+    run(diamond, {"sa": 2, "at": 1, "sb": 3, "bt": 1})
+    assert "edge_by_id" not in vars(diamond)
 
 
 def test_json_round_trip(three_flow):
