@@ -457,8 +457,7 @@ def auction_on_double_cut(g: Graph, costs: dict, core: Graph,
     d = result.double_cut
 
     def solve(c):
-        res = min_double_cut(core, c)
-        return res.double_cut, res.cost
+        return min_double_cut(core, c).double_cut
 
     return reduced_run(_cut_vc_instance(contract_to_h(core, d)), costs,
                        (e.id for e in g.edges), solve,

@@ -8,11 +8,15 @@ scaled bids; winners are paid threshold bids.
 Every cover solver answers one query, `min_cover(costs)`; a cover
 without an agent is the min cover with that agent priced out
 (`price_out`). Eigenpairs are computed per connected component in
-floating point (power iteration on the symmetrized D^{1/2} A D^{1/2});
-the exact Nash quantities stay rational elsewhere, so scaled bids and
-payments here are floats. Each threshold is one correctly rounded sum
-(`math.fsum`) of scaled bids over two covers, so it keeps its low bits
-even when the covers cost 2^53 or more.
+floating point, by a pure-Python power iteration on the symmetrized
+D^{1/2} A D^{1/2} over the component's adjacency lists. Each row of its
+product is one correctly rounded sum (`math.fsum`), so agents that an
+automorphism of the conflict graph and its Tot swaps get the same
+entry, bit for bit, and no entry depends on the order a set lists
+neighbours in. The exact Nash quantities stay rational elsewhere, so
+scaled bids and payments here are floats. Each threshold is one
+correctly rounded sum of scaled bids over two covers, so it keeps its
+low bits even when the covers cost 2^53 or more.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Callable, Iterable
-
-import numpy as np
 
 from . import caps
 from .errors import DomainError, InputError, ScaleError
@@ -101,41 +104,53 @@ class AuctionOutcome:
 
 def _component_eigenpair(agents: list[str], adj: set[tuple[str, str]],
                          tot: dict) -> ComponentEigenpair:
+    """Power iteration on K' + I, K' = D^{1/2} A D^{1/2}: the shift makes
+    the Perron root strictly dominant even on bipartite components.
+
+    Row i of K' + I is the shift's 1 on the diagonal and
+    sqrt(d_i) sqrt(d_j) for each neighbour j, and each row of a product
+    is one `math.fsum`. A row's value is then one rounding of its exact
+    sum, whatever order `adj` lists the neighbours in, and agents that
+    an automorphism of the graph and its Tot swaps get the same bits.
+    Each step makes one product y = (K' + I) v of the unit vector v: it
+    gives v's Rayleigh quotient v.y, the residual of q = D^{1/2} v
+    under K = D A, which is D^{1/2} (y - (lambda + 1) v), and, once
+    normalised, the next v."""
     n = len(agents)
     index = {a: i for i, a in enumerate(agents)}
-    a_mat = np.zeros((n, n))
+    d_half = [math.sqrt(1.0 / float(tot[a])) for a in agents]
+    cols = [[i] for i in range(n)]
     for u, v in adj:
-        a_mat[index[u], index[v]] = 1.0
-        a_mat[index[v], index[u]] = 1.0
-    d_half = np.array([1.0 / float(tot[a]) for a in agents]) ** 0.5
-    k_sym = d_half[:, None] * a_mat * d_half[None, :]
-    # Power iteration on K' + I: the shift makes the Perron root strictly
-    # dominant even on bipartite components.
-    shifted = k_sym + np.eye(n)
-    vec = np.ones(n)
-    vec /= np.linalg.norm(vec)
-    rayleigh = float(vec @ shifted @ vec)
-    lam = rayleigh - 1.0
+        cols[index[u]].append(index[v])
+        cols[index[v]].append(index[u])
+    rows = [(itemgetter(*c), [1.0] + [d_half[i] * d_half[j] for j in c[1:]])
+            for i, c in enumerate(cols)]
+
+    def product(vec):
+        return [math.fsum(map(mul, weights, take(vec)))
+                for take, weights in rows]
+
+    vec = [1.0 / math.sqrt(n)] * n
+    image = product(vec)
+    rayleigh = math.fsum(map(mul, vec, image))
     for _ in range(MAX_POWER_ITERATIONS):
-        nxt = shifted @ vec
-        nxt /= np.linalg.norm(nxt)
-        new_rayleigh = float(nxt @ shifted @ nxt)
-        vec = nxt
+        norm = math.hypot(*image)
+        vec = [x / norm for x in image]
+        image = product(vec)
+        new_rayleigh = math.fsum(map(mul, vec, image))
         converged = abs(new_rayleigh - rayleigh) < RAYLEIGH_TOL
         rayleigh = new_rayleigh
         if converged:
-            lam = rayleigh - 1.0
-            k_full = a_mat * (d_half**2)[:, None]  # K = D A
-            q = d_half * vec
-            resid = np.max(np.abs(k_full @ q - lam * q))
-            if resid <= EIGEN_RESIDUAL_TOL * np.max(np.abs(q)):
+            q = [d * x for d, x in zip(d_half, vec)]
+            resid = max(d * abs(y - rayleigh * x)
+                        for d, x, y in zip(d_half, vec, image))
+            if resid <= EIGEN_RESIDUAL_TOL * max(q):
                 break
     else:
         raise DomainError("power iteration failed to reach eigen tolerance")
-    q = d_half * vec
-    q = q / q.max()
-    return ComponentEigenpair(tuple(agents), lam,
-                              {a: float(q[index[a]]) for a in agents})
+    top = max(q)
+    return ComponentEigenpair(tuple(agents), rayleigh - 1.0,
+                              {a: x / top for a, x in zip(agents, q)})
 
 
 class BruteForceCoverSolver(CoverSolver):
@@ -263,17 +278,18 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
 
 
 def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
-                solve: Callable[[dict], tuple[frozenset, object]],
+                solve: Callable[[dict], frozenset],
                 diagnostics: dict) -> AuctionOutcome:
     """`ev_run` on the instance a flow or cut auction reduced its
     network to. Agents the reduction dropped lose at price 0.
 
-    `solve(costs)` is the reduction's own solve: (the chosen set, its
-    cost). A winner can also exit by bidding itself out of the
-    reduction, which caps its payment. Priced out (`price_out` of all
-    bids), the winner drops out whenever anything can replace it, and
-    its exit bid is that solve's cost less the solve's cost with the
-    winner priced at 0; a winner chosen even at that price has no exit.
+    `solve(costs)` is the reduction's own solve: the set it chooses. A
+    winner can also exit by bidding itself out of the reduction, which
+    caps its payment. Priced out (`price_out` of all bids), the winner
+    drops out whenever anything can replace it, and its exit bid is the
+    cost of that choice less the cost of the choice with the winner
+    priced at 0: the bids on which the two sets differ, summed exactly
+    and rounded once. A winner chosen even when priced out has no exit.
     The reduction's `diagnostics` follow the cover auction's."""
     agents = list(agents)
     outcome = ev_run(inst, bids)
@@ -282,10 +298,13 @@ def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
     payments.update(outcome.payments)
     high = price_out(bids[a] for a in agents)
     for winner in winners:
-        _, free = solve({**bids, winner: 0})
-        chosen, priced = solve({**bids, winner: high})
+        kept = solve({**bids, winner: 0})
+        chosen = solve({**bids, winner: high})
         if winner not in chosen:
-            payments[winner] = min(payments[winner], float(priced - free))
+            exit_bid = (sum(Fraction(bids[a]) for a in chosen - kept)
+                        - sum(Fraction(bids[a])
+                              for a in kept - chosen - {winner}))
+            payments[winner] = min(payments[winner], float(exit_bid))
     total = sum(payments[w] for w in winners)
     return AuctionOutcome(outcome.winners, payments, total,
                           {**outcome.diagnostics, **diagnostics})

@@ -234,8 +234,7 @@ def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     h = prune_to_support(g, costs, k)
 
     def solve(c):
-        res = min_cost_flow(g, c, k + 1)
-        return res.support, res.cost
+        return min_cost_flow(g, c, k + 1).support
 
     return reduced_run(vc_from_flow(h, k), costs, (e.id for e in g.edges),
                        solve, {"pruned_support": sorted(e.id for e in h.edges)})

@@ -2,8 +2,8 @@
 
 Float sums taken in set order round differently from process to
 process, so every sum over agents runs in sorted id order. This test
-runs one seeded batch of cover and flow auctions under two hash seeds
-and compares the exact reprs."""
+runs one seeded batch of cover and flow auctions, and one of
+eigenvectors, under two hash seeds and compares the exact reprs."""
 
 import os
 import subprocess
@@ -42,11 +42,26 @@ for _ in range(60):
 """
 
 
-def run_batch(hash_seed: str) -> str:
+EIGENPAIRS = r"""
+import random
+from fractions import Fraction
+from frugal.eigen import build_vc_instance
+from frugal.oracle import random_undirected_graph
+
+rng = random.Random(3)
+for _ in range(30):
+    g = random_undirected_graph(rng, rng.randint(4, 10))
+    tot = {v: Fraction(rng.randint(2, 9), rng.randint(1, 2))
+           for v in g.vertices}
+    print(sorted(build_vc_instance(g, tot).q.items()))
+"""
+
+
+def run_batch(hash_seed: str, batch: str = BATCH) -> str:
     src = str(Path(frugal.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", BATCH], env=env,
+    done = subprocess.run([sys.executable, "-c", batch], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
 
@@ -55,3 +70,11 @@ def test_results_do_not_depend_on_hash_seed():
     first = run_batch("0")
     assert first.count("\n") == 180
     assert run_batch("1") == first
+
+
+def test_eigenpairs_do_not_depend_on_hash_seed():
+    # Each row of the power iteration is one correctly rounded sum, so
+    # the order a set lists an agent's neighbours in changes no bit.
+    first = run_batch("0", EIGENPAIRS)
+    assert first.count("\n") == 30
+    assert run_batch("1", EIGENPAIRS) == first

@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from frugal import eigen
 from frugal.cut import (_cut_vc_instance, cm_run, contract_to_h,
                         select_double_cut)
 from frugal.eigen import (BruteForceCoverSolver, CoverSolver,
@@ -215,6 +217,88 @@ def test_eigen_residual_on_random_instances():
                 assert abs(kq - comp.eigenvalue * q[a]) <= 1e-10
 
 
+def test_eigenpairs_match_eigh():
+    # The power iteration stops once the residual is within
+    # EIGEN_RESIDUAL_TOL, so lambda agrees with eigh's to rounding, and
+    # the unit vector v = D^{-1/2} q to within its residual over the
+    # spectral gap (Davis-Kahan) and eigh's own rounding. q itself is
+    # up to 7.4e-11 relative from eigh's here (gaps down to 0.14), so
+    # a flat 1e-12 on q would fail 94 of these 380 components.
+    count = 0
+    for _, inst, _ in _seeded_instances(random.Random(23), 120):
+        for comp in inst.components:
+            nbrs = [inst.conflict_graph.neighbors(a) for a in comp.agents]
+            adj = np.array([[float(b in row) for b in comp.agents]
+                            for row in nbrs])
+            d_half = np.array([float(inst.tot[a]) ** -0.5
+                               for a in comp.agents])
+            k_sym = d_half[:, None] * adj * d_half[None, :]
+            values, vectors = np.linalg.eigh(k_sym)
+            assert comp.eigenvalue == pytest.approx(values[-1], rel=1e-12)
+            v = np.array([comp.vector[a] for a in comp.agents]) / d_half
+            v /= np.linalg.norm(v)
+            resid = np.linalg.norm(k_sym @ v - (v @ k_sym @ v) * v)
+            assert resid <= 1e-11
+            gap = values[-1] - values[-2]
+            assert np.linalg.norm(v - np.abs(vectors[:, -1])) \
+                <= 2 * resid / gap + 1e-14
+            count += 1
+    assert count >= 300
+
+
+def test_bundle_sides_get_identical_entries():
+    # Each cut bundle is a K_{a,b} with Tot 1, and any permutation of a
+    # side is an automorphism. Each row of the power iteration is one
+    # correctly rounded sum, so a side's entries are the same float.
+    rng = random.Random(5)
+    sides = 0
+    for _ in range(600):
+        g = random_cut_network(rng, rng.randint(8, 12), rng.randint(12, 26))
+        bids = {e.id: Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                for e in sorted(g.edges, key=lambda e: e.id)}
+        core, result = select_double_cut(g, bids)
+        bundles = contract_to_h(core, result.double_cut)
+        q = _cut_vc_instance(bundles).q
+        for _, left, right in bundles.bundles:
+            for side in (left, right):
+                assert len({q[a] for a in side}) == 1, side
+                sides += 1
+    assert sides >= 1000
+
+
+def _symmetric_graphs():
+    """(edges, orbits): cycles, stars and complete bipartite graphs,
+    with the classes of agents that automorphisms swap."""
+    for n in range(3, 12):
+        ring = [f"c{i}" for i in range(n)]
+        yield [(ring[i], ring[i - 1]) for i in range(n)], [ring]
+    for n in range(2, 12):
+        leaves = [f"l{i}" for i in range(n)]
+        yield [("hub", leaf) for leaf in leaves], [["hub"], leaves]
+    for a in range(2, 6):
+        for b in range(a, 8):
+            left = [f"x{i}" for i in range(a)]
+            right = [f"y{j}" for j in range(b)]
+            yield [(x, y) for x in left for y in right], [left, right]
+
+
+@pytest.mark.parametrize("tot", [ONE, Fraction(5, 2), Fraction(7)])
+def test_automorphic_agents_get_identical_entries(tot):
+    for edges, orbits in _symmetric_graphs():
+        g = Graph.build(sorted({v for e in edges for v in e}),
+                        [(f"{u}-{v}", u, v) for u, v in edges],
+                        directed=False)
+        q = instance(g, tot).q
+        for orbit in orbits:
+            assert len({q[a] for a in orbit}) == 1, orbit
+
+
+def test_power_iteration_past_its_cap_is_a_domain_error(monkeypatch, star):
+    monkeypatch.setattr(eigen, "MAX_POWER_ITERATIONS", 1)
+    with pytest.raises(DomainError, match="power iteration"):
+        instance(star, ONE)
+
+
 def test_cover_solvers_answer_one_query():
     assert CoverSolver.__abstractmethods__ == {"min_cover"}
 
@@ -228,21 +312,22 @@ def test_excluding_an_agent_that_still_wins_is_a_domain_error():
         KeepsEveryone().min_cover_excluding("a", {"a": 1, "b": 2})
 
 
-def _seeded_instances():
-    """(kind, cover instance, bids) on seeded vc, flow and cut draws."""
-    rng = random.Random(17)
-    for _ in range(12):
-        g = random_undirected_graph(rng, rng.randint(3, 8), p=0.5)
-        if not g.edges:
-            continue
-        yield "vc", instance(g, TWO), random_costs(rng, g.vertices)
-    for _ in range(12):
-        k = rng.randint(1, 3)
-        g = random_flow_network(rng, k, rng.randint(1, 4))
+def _seeded_instances(rng, count):
+    """(kind, cover instance, bids) on `count` seeded draws each of
+    G(n, p) with random Tot, pruned flow networks and cut bundles."""
+    for _ in range(count):
+        g = random_undirected_graph(rng, rng.randint(2, 12),
+                                    p=rng.uniform(0.2, 0.8))
+        tot = {v: Fraction(rng.randint(2, 12), rng.randint(1, 2))
+               for v in g.vertices}
+        yield "vc", build_vc_instance(g, tot), random_costs(rng, g.vertices)
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        g = random_flow_network(rng, k, rng.randint(1, 8))
         bids = random_costs(rng, (e.id for e in g.edges))
         yield "flow", vc_from_flow(prune_to_support(g, bids, k), k), bids
-    for _ in range(12):
-        g = random_cut_network(rng, rng.randint(4, 7), rng.randint(5, 10))
+    for _ in range(count):
+        g = random_cut_network(rng, rng.randint(8, 12), rng.randint(12, 26))
         bids = random_costs(rng, (e.id for e in g.edges))
         core, result = select_double_cut(g, bids)
         bundles = contract_to_h(core, result.double_cut)
@@ -253,7 +338,7 @@ def test_threshold_is_the_exact_sum_rounded_once():
     # F = m(R_u - X*) - m(X* - R_u - {u}), summed as Fractions: the
     # payment is q_u times F rounded to the nearest float.
     kinds = set()
-    for kind, inst, bids in _seeded_instances():
+    for kind, inst, bids in _seeded_instances(random.Random(17), 12):
         m = scaled_costs(inst, bids)
         winners, _ = inst.solver.min_cover(m)
         outcome = ev_run(inst, bids)
@@ -268,6 +353,10 @@ def test_threshold_is_the_exact_sum_rounded_once():
 
 
 BIG = 2**62
+THREE_PATHS = Graph.build("sabct", [("sa", "s", "a"), ("at", "a", "t"),
+                                    ("sb", "s", "b"), ("bt", "b", "t"),
+                                    ("sc", "s", "c"), ("ct", "c", "t")],
+                          directed=True, source="s", sink="t")
 DIAMOND = Graph.build("sabt", [("sa", "s", "a"), ("at", "a", "t"),
                                ("sb", "s", "b"), ("bt", "b", "t")],
                       directed=True, source="s", sink="t")
@@ -275,16 +364,23 @@ PATH = Graph.build("abcd", [("ab", "a", "b"), ("bc", "b", "c"),
                             ("cd", "c", "d")], directed=False)
 
 
-# Each winner's two covers cost 2^62 and more and differ by a few units;
-# their float difference reads 0, below the winner's bid.
+# Each winner's two covers, or two exit choices, cost 2^62 and more and
+# differ by a few units; their float difference reads 0, below the
+# winner's bid.
 @pytest.mark.parametrize("run, bids, winner, paid", [
+    (lambda b: fm_run(THREE_PATHS, b, 1),
+     {"sa": BIG, "at": 1, "sb": BIG, "bt": 3, "sc": BIG, "ct": 5}, "at", 3.0),
+    (lambda b: fm_run(THREE_PATHS, b, 1),
+     {"sa": float(BIG), "at": 1.0, "sb": float(BIG), "bt": 3.0,
+      "sc": float(BIG), "ct": 5.0}, "at", 3.0),
     (lambda b: fm_run(DIAMOND, b, 1),
      {"sa": BIG, "at": 1, "sb": BIG, "bt": 3}, "at", 3.0),
     (lambda b: cm_run(DIAMOND, b),
      {"sa": BIG, "at": BIG + 2**12, "sb": 1, "bt": 3}, "sb", 3.0),
     (lambda b: ev_run(instance(PATH, ONE), b),
      {"a": BIG, "b": BIG + 2**12, "c": 1, "d": 3}, "c", None),
-], ids=["fm_run", "cm_run", "ev_run"])
+], ids=["fm_run-exit", "fm_run-exit-float", "fm_run", "cm_run",
+        "ev_run"])
 def test_large_bids_keep_the_threshold(run, bids, winner, paid):
     out = run(bids)
     assert winner in out.winners

@@ -329,11 +329,44 @@ def test_colouring_search_past_its_cap_leaves_the_value_to_the_lp(
     assert len(lp_calls) == 1
 
 
-def test_import_leaves_networkx_unloaded():
+def run_python(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter on this package."""
     src = str(Path(frugal.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, frugal.cli; print('networkx' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, frugal.cli; print('networkx' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+AUCTIONS = """
+import sys
+import frugal.cli
+from frugal.cut import cm_run
+from frugal.eigen import build_vc_instance, ev_run
+from frugal.flow import fm_run
+from frugal.graph import Graph
+
+path = Graph.build("abcd", [("ab", "a", "b"), ("bc", "b", "c"),
+                            ("cd", "c", "d")], directed=False)
+ev_run(build_vc_instance(path, dict.fromkeys("abcd", 1)),
+       {"a": 1, "b": 2, "c": 3, "d": 1})
+net = Graph.build("sabt", [("sa", "s", "a"), ("sb", "s", "b"),
+                           ("ab", "a", "b"), ("at", "a", "t"),
+                           ("bt", "b", "t")],
+                  directed=True, source="s", sink="t")
+bids = {"sa": 2, "sb": 1, "ab": 1, "at": 3, "bt": 4}
+fm_run(net, bids, 1)
+cm_run(net, bids)
+print("numpy" in sys.modules)
+"""
+
+
+def test_auctions_leave_numpy_unloaded():
+    # The eigenpairs are pure Python; numpy serves only the tests.
+    assert run_python(AUCTIONS) == "False"
