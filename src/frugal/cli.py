@@ -155,7 +155,6 @@ def cmd_cut_auction(args) -> int:
         "approx": True,
         "double_cut": sorted(result.double_cut),
         "cuts": _cuts_json(result),
-        "certified": result.certified,
         "method": result.method,
         "winners": sorted(outcome.winners),
         "payments": _payments_json(outcome.payments),
@@ -171,7 +170,6 @@ def cmd_double_cut(args) -> int:
         "double_cut": sorted(result.double_cut),
         "cost": format_rational(result.cost),
         "dual_objective": format_rational(result.dual_objective),
-        "certified": result.certified,
         "method": result.method,
         "cuts": _cuts_json(result),
     }

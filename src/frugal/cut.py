@@ -14,10 +14,12 @@ on the package's one augmenting loop, `flow.successive_shortest_paths`.
 Candidate cuts read off the relief flow's residual graph are certified
 optimal by weak duality against the exact dual objective, with an exact
 LP fallback. Every solve runs on the costs' exact integer images (see
-`rational.integer_costs`). Inputs are checked where they enter:
-`min_double_cut` checks the network and each cost as it converts them,
-and `select_double_cut` the edges off every s-t path, so `cm_run`
-rejects a missing, negative or non-finite bid.
+`rational.integer_costs`), and the auction's own selection minimises
+their `rational.tie_broken` perturbation, the tie rule of the flow
+auction and the cover queries too. Inputs are checked where they
+enter: `min_double_cut` checks the network and each cost as it
+converts them, and `select_double_cut` the edges off every s-t path, so
+`cm_run` rejects a missing, negative or non-finite bid.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .flow import successive_shortest_paths
 from .graph import (Edge, Graph, adjacency, check_network, components,
                     enumerate_st_paths, reach, shortest_paths)
 from .lp import GEQ, LEQ, LinearProgram, solve
-from .rational import integer_costs, python_integers
+from .rational import integer_costs, python_integers, tie_broken
 
 ZERO = Fraction(0)
 
@@ -56,7 +58,6 @@ class DoubleCutResult:
     double_cut: frozenset  # edge ids
     cost: Fraction
     dual_objective: Fraction
-    certified: bool
     method: str  # "primal-dual" | "lp-fallback"
     cuts: Optional[tuple[frozenset, frozenset]]  # (S1, S2) vertex sides
     flow_value: Optional[Fraction] = None
@@ -233,40 +234,24 @@ def min_double_cut(g: Graph, costs: dict,
     cost, dual objective, flow value and relief total are divided by D,
     so the result reports exact Fractions in the input's units.
 
-    With `canonical=True` ties between equally cheap double cuts are
-    broken by a fixed rule, so the chosen edge set depends only on the
-    cost vector, never on how the optimum was found. The auction needs
-    this: an agent's bid must not be able to steer which of two tied
-    double cuts gets selected. The rule: among the minimum-cost double
-    cuts, take the one whose membership vector, read in ascending id
-    order, is lexicographically smallest. Equivalently, exclude edges
-    in ascending id order whenever an equally cheap double cut avoids
-    them.
-
-    The rule runs as one solve on perturbed integer costs
-    c'_e = c_e * D * 2^m + 2^(m-1-rank(e)), with D the lcm of the cost
-    denominators, m the number of edges and rank(e) the position of e
-    in ascending id order. The perturbations of any edge set sum to
-    less than 2^m, one unit of D * c, so a perturbed optimum is an
-    optimum, and among optima the perturbation orders edge sets
-    exactly as the lexicographic rule does. Every edge's perturbed cost
-    is positive, so the canonical cut holds no redundant edge: it is
-    inclusion-minimal. The result reports cost and dual objective in
-    original units; flow value and relief total exist only in perturbed
-    units and are left None."""
+    With `canonical=True` the solve runs on the perturbed costs of
+    `rational.tie_broken`, so among equally cheap double cuts the one
+    chosen depends only on the cost vector, never on how the optimum
+    was found. The auction needs this: an agent's bid must not be able
+    to steer which of two tied double cuts gets selected. The result
+    reports cost and dual objective in original units; flow value and
+    relief total exist only in perturbed units and are left None.
+    Without it, only the cost is fixed: which of several cheapest cuts
+    comes back depends on the solver's path."""
     _check_cut_input(g)
     order = sorted(e.id for e in g.edges)
     scale, exact = integer_costs({eid: costs.get(eid) for eid in order})
-    solve_costs = exact
-    if canonical:
-        m = len(order)
-        solve_costs = {eid: (exact[eid] << m) + (1 << (m - 1 - rank))
-                       for rank, eid in enumerate(order)}
+    solve_costs = tie_broken(exact) if canonical else exact
     d, dual_obj, method, cuts, relief = _min_double_cut_any(g, solve_costs)
     cost = Fraction(sum(exact[eid] for eid in d), scale)
     if canonical:
-        return DoubleCutResult(d, cost, cost, True, method, cuts)
-    return DoubleCutResult(d, cost, Fraction(dual_obj, scale), True, method,
+        return DoubleCutResult(d, cost, cost, method, cuts)
+    return DoubleCutResult(d, cost, Fraction(dual_obj, scale), method,
                            cuts, *(Fraction(x, scale) for x in relief))
 
 
@@ -390,21 +375,18 @@ class CutCoverSolver(CoverSolver):
     """Cover queries on a disjoint union of complete bipartite bundles.
 
     A minimal cover takes one full side per bundle, so a min cover is
-    the cheaper side of each bundle, the first in (cost, ids) order on
-    a tie."""
+    the cheaper side of each bundle."""
 
     def __init__(self, bundles: BundleStructure):
         self.bundles = bundles.bundles
 
     def min_cover(self, costs):
-        chosen = []
-        total = 0
-        for _, left, right in self.bundles:
-            cost, ids = min((sum(costs[i] for i in ids), ids)
-                            for ids in (left, right))
-            chosen.extend(ids)
-            total += cost
-        return frozenset(chosen), total
+        def cost(ids):
+            return sum(costs[i] for i in ids)
+
+        chosen = [i for _, left, right in self.bundles
+                  for i in min(left, right, key=cost)]
+        return frozenset(chosen), cost(chosen)
 
 
 @lru_cache(maxsize=256)

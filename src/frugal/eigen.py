@@ -32,7 +32,7 @@ from typing import Callable, Iterable
 from . import caps
 from .errors import DomainError, InputError, ScaleError
 from .graph import Graph, components
-from .rational import integer_costs
+from .rational import integer_costs, tie_broken
 
 EIGEN_RESIDUAL_TOL = 1e-12
 RAYLEIGH_TOL = 1e-14
@@ -51,7 +51,11 @@ class CoverSolver(ABC):
     """A min-cost vertex cover oracle on one conflict graph.
 
     Subclasses answer `min_cover` only; the two constrained queries are
-    that query at changed prices."""
+    that query at changed prices. Solvers compare cover costs alone:
+    `ev_run` asks on the `rational.tie_broken` integers of the scaled
+    bids, where no two covers cost the same, so its queries are free
+    of ties. On tied costs from any other caller, which cheapest cover
+    comes back is the solver's own affair."""
 
     @abstractmethod
     def min_cover(self, costs: dict) -> tuple[frozenset, object]:
@@ -156,8 +160,7 @@ def _component_eigenpair(agents: list[str], adj: set[tuple[str, str]],
 class BruteForceCoverSolver(CoverSolver):
     """Exhaustive min-cost vertex cover over agent subsets.
 
-    Ties broken lexicographically on the sorted agent-id tuple. Capped
-    at `caps.SUBSET_CAP` (2^20) candidate subsets, or at
+    Capped at `caps.SUBSET_CAP` (2^20) candidate subsets, or at
     FRUGAL_SCALE_CAP when that is set.
     """
 
@@ -178,9 +181,9 @@ class BruteForceCoverSolver(CoverSolver):
                 sel = set(combo)
                 if any(u not in sel and v not in sel for u, v in self.edges):
                     continue
-                key = (sum(costs[a] for a in combo), combo)
-                if best is None or key < best:
-                    best = key
+                cost = sum(costs[a] for a in combo)
+                if best is None or cost < best[0]:
+                    best = cost, combo
         return frozenset(best[1]), best[0]
 
 
@@ -194,15 +197,15 @@ class MinimalCoverSolver(CoverSolver):
 
     def __init__(self, conflict_graph: Graph):
         from .setsystems import _minimal_vertex_covers
-        self.covers = sorted(_minimal_vertex_covers(conflict_graph),
-                             key=lambda s: tuple(sorted(s)))
+        self.covers = [tuple(sorted(c))
+                       for c in _minimal_vertex_covers(conflict_graph)]
 
     def min_cover(self, costs):
         def value(cover):
-            return sum(costs[a] for a in sorted(cover))
+            return sum(costs[a] for a in cover)
 
-        best = min(self.covers, key=lambda c: (value(c), tuple(sorted(c))))
-        return best, value(best)
+        best = min(self.covers, key=value)
+        return frozenset(best), value(best)
 
 
 def build_vc_instance(conflict_graph: Graph, tot: dict,
@@ -258,14 +261,17 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     and priced 0. With X* the chosen cover and R_u a min cover without
     u, A_u = m(X* - {u}) (lowering u's own price keeps X* optimal), so
     the threshold is m(R_u - X*) - m(X* - R_u - {u}), summed exactly and
-    rounded once, so the order of its terms does not matter.
+    rounded once, so the order of its terms does not matter. The covers
+    are chosen on m's exact `rational.tie_broken` integers (floats are
+    dyadic), never on float sums.
     """
     m = scaled_costs(inst, bids)
+    exact = tie_broken(integer_costs(m)[1])
     q = inst.q
-    winners, _ = inst.solver.min_cover(m)
+    winners, _ = inst.solver.min_cover(exact)
     payments = {a: 0.0 for a in inst.agents}
     for u in sorted(winners):
-        rest, _ = inst.solver.min_cover_excluding(u, m)
+        rest, _ = inst.solver.min_cover_excluding(u, exact)
         payments[u] = q[u] * math.fsum(
             [m[a] for a in rest - winners]
             + [-m[a] for a in winners - rest - {u}])

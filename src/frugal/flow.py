@@ -7,13 +7,14 @@ graph on H's edges, so the eigenvector cover auction applies directly.
 Every Tot value in that instance is k, which makes the conflict graph's
 spectral bound the frugality guarantee.
 
-Costs may be Fractions (exact pruning, nu) or floats (scaled bids from
-the cover auction). `min_cost_flow` solves on their exact integer
-images (see `rational.integer_costs`), so a float cost never rounds
-inside a solve; only the reported total keeps the callers' number
-type. Inputs are checked where they enter: `min_cost_flow` checks the
-network and each cost as it converts them, so `fm_run`'s pruning solve
-rejects a missing, negative or non-finite bid on any edge.
+Costs may be the bids as given (pruning, exit caps), Fractions (nu) or
+the cover auction's integer images of its scaled bids. `min_cost_flow`
+solves on their exact integer images (see `rational.integer_costs`), so
+a float cost never rounds inside a solve; only the reported total keeps
+the callers' number type. Inputs are checked where they enter:
+`min_cost_flow` checks the network and each cost as it converts them,
+so `fm_run`'s pruning solve rejects a missing, negative or non-finite
+bid on any edge.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .eigen import (AuctionOutcome, CoverSolver, VcInstance,
                     build_vc_instance, reduced_run)
 from .graph import (Graph, adjacency, check_network, enumerate_st_paths,
                     path_labels, reach, shortest_paths)
-from .rational import integer_costs, python_integers
+from .rational import integer_costs, python_integers, tie_broken
 
 
 @dataclass(frozen=True)
@@ -88,26 +89,17 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
     """Min-cost flow of value k under unit capacities.
 
     Successive shortest augmenting paths on the costs' exact integer
-    images D * c (D the lcm of the denominators of Fraction(c)), so
-    Fraction and float costs alike compare without rounding. Each
-    edge's cost is perturbed by an infinitesimal unique to that edge,
-    so every shortest path is strictly unique and the optimum is
-    deterministic regardless of input order. Raises DomainError when
-    fewer than k disjoint paths exist.
-
-    The infinitesimals are a second, integer cost: the edge at position
-    i in ascending id order weighs 3^i. A residual path uses each
-    edge at most once, forward (+1) or backward (-1), so its tie cost is
-    a balanced-ternary number, and integer order on those equals
-    lexicographic order on the {-1, 0, 1} usage vectors. The highest id
-    holds the dominant slot, so ties favor flows that avoid high-id
-    edges.
+    images, perturbed by `rational.tie_broken`, so Fraction and float
+    costs alike compare without rounding, and among equally cheap flows
+    the support is the one the package's tie rule picks, whatever
+    order the paths were found in. Raises DomainError when fewer than
+    k disjoint paths exist.
     """
     check_network(g)
     edges = sorted(g.edges)  # by id
     _, main = integer_costs({e.id: costs.get(e.id) for e in edges})
-    arcs = [(e.tail, e.head, 1, (main[e.id], 3 ** i))
-            for i, e in enumerate(edges)]
+    weight = tie_broken(main)
+    arcs = [(e.tail, e.head, 1, (weight[e.id], 0)) for e in edges]
     flow, value = successive_shortest_paths(g.vertices, arcs, g.source,
                                             g.sink, value=k)
     if value < k:

@@ -57,14 +57,14 @@ def brute_double_cut(g: Graph, costs: dict) -> tuple[frozenset, Fraction]:
 def canonical_double_cut_reference(g: Graph, costs: dict) -> DoubleCutResult:
     """The canonical minimum double cut by greedy exclusion.
 
-    Edges are tried in ascending id order; each is priced out of reach
+    Edges are tried in descending id order; each is priced out of reach
     whenever an equally cheap double cut avoids it and every edge
     excluded before it. m+2 solves: the reference for
     `min_double_cut(canonical=True)`."""
     base = min_double_cut(g, costs)
     big = sum((costs[e.id] for e in g.edges), Fraction(0)) + 1
     working = dict(costs)
-    for eid in sorted(e.id for e in g.edges):
+    for eid in sorted((e.id for e in g.edges), reverse=True):
         trial = dict(working)
         trial[eid] = big
         r = min_double_cut(g, trial)

@@ -3,15 +3,17 @@
 All costs, bids, LP data, and Nash-bound values in this package are
 `fractions.Fraction` instances (always in lowest terms, positive
 denominator). JSON files carry them as strings like "3/2"; bare
-integers are accepted as shorthand. The flow and cut solvers run on
-the costs' exact integer images (`integer_costs`), and that conversion
-is also the one cost check: a missing, non-numeric (a bool or a
-string, say), non-finite (NaN, +-inf) or negative cost is an
-InputError, and a numpy integer counts as the integer it holds. The
-flow and cut auctions meet it in their first solve, the cover auction
-when it scales its bids, so such a bid is an error in all three; Tot
-values meet it in `eigen.build_vc_instance`. The flow and cut auctions
-also sum raw bids, so they take numpy integer bids as Python ints
+integers are accepted as shorthand. The flow, cut and cover selections
+run on the costs' exact integer images (`integer_costs`), and where
+they must pick one of several cheapest sets they minimise one
+perturbed integer cost (`tie_broken`). That conversion is also the one
+cost check: a missing, non-numeric (a bool or a string, say),
+non-finite (NaN, +-inf) or negative cost is an InputError, and a
+numpy integer counts as the integer it holds. The flow and cut
+auctions meet it in their first solve, the cover auction when it
+scales its bids, so such a bid is an error in all three; Tot values
+meet it in `eigen.build_vc_instance`. The flow and cut auctions also
+sum raw bids, so they take numpy integer bids as Python ints
 (`python_integers`) where the bids enter.
 """
 
@@ -79,6 +81,25 @@ def integer_costs(costs: dict) -> tuple[int, dict]:
     scale = math.lcm(*(den for _, den in ratios.values()))
     return scale, {key: num * (scale // den)
                    for key, (num, den) in ratios.items()}
+
+
+def tie_broken(exact: dict) -> dict:
+    """The package's one tie rule: {key: (c << m) + (1 << rank)} for the
+    integer costs `exact` (from `integer_costs`), m the number of keys
+    and rank a key's position in ascending key order.
+
+    The perturbations of any set sum to less than 2^m, one unit of the
+    original costs, so a set that is cheapest under the perturbed costs
+    is cheapest under the original ones. Distinct sets get distinct
+    perturbed sums, so the perturbed optimum is unique, and it depends
+    only on the costs, never on how a solver searched. Among sets tied
+    on the original costs, the one without the highest key of their
+    symmetric difference wins: ties drop the highest keys first. Every
+    perturbed cost is positive, so no proper subset of the chosen set
+    is feasible: it is inclusion-minimal."""
+    m = len(exact)
+    return {key: (exact[key] << m) + (1 << rank)
+            for rank, key in enumerate(sorted(exact))}
 
 
 def python_integers(costs: dict) -> dict:

@@ -129,7 +129,6 @@ def test_cut_auction(capsys, write, path_json):
     code, data = run(capsys, ["cut-auction", "--graph", graph])
     assert code == 0
     assert data["double_cut"] == ["bt", "sa"]
-    assert data["certified"] is True
     assert data["winners"] == ["sa"]
     assert data["payments"]["sa"] == pytest.approx(2.0)
 
@@ -203,7 +202,6 @@ def test_double_cut(capsys, write, path_json):
     code, data = run(capsys, ["double-cut", "--graph", graph])
     assert code == 0
     assert data["cost"] == "3/1"
-    assert data["certified"] is True
     assert data["flow_value"] == "2/1"
     assert data["relief_total"] == "1/1"
 

@@ -48,7 +48,6 @@ def test_min_double_cut_worked_path(path_graph, path_costs):
     assert res.double_cut == frozenset({"sa", "bt"})
     assert res.cost == 3
     assert res.dual_objective == 3
-    assert res.certified
     assert res.method == "primal-dual"
     assert res.flow_value == 2
     assert res.relief_total == 1
@@ -60,7 +59,6 @@ def test_min_double_cut_diamond(diamond):
     res = min_double_cut(diamond, diamond_costs())
     assert res.double_cut == frozenset({"sa", "sb", "at", "bt"})
     assert res.cost == 10
-    assert res.certified
 
 
 def test_double_cut_lp_path(path_graph, path_costs):
@@ -129,7 +127,6 @@ def test_min_double_cut_matches_brute_force():
             continue
         _, best = brute_double_cut(g, costs)
         assert res.cost == best
-        assert res.certified
         assert is_double_cut(g, res.double_cut)
         if res.cuts is not None:
             s1, s2 = res.cuts
@@ -210,7 +207,7 @@ def test_cm_run_diamond(diamond):
 def test_cm_run_zero_costs(diamond):
     out = cm_run(diamond, {e.id: F(0) for e in diamond.edges})
     assert out.total_payment == 0.0
-    # Lexicographically-first side of each bundle.
+    # Ties drop the highest ids: each bundle keeps its lower-id side.
     assert out.winners == frozenset({"at", "bt"})
 
 
@@ -252,7 +249,8 @@ def test_canonical_tie_break_is_bid_independent():
         probe = dict(costs, e0_1=bid)
         picks.add(min_double_cut(g, probe, canonical=True).double_cut)
     assert len(picks) == 1
-    assert picks.pop() == frozenset({"e0_1", "e1_4", "e2_3", "e2_4"})
+    # {e1_2} and {e2_3, e2_4} cost 8/3 each; ties drop the highest id.
+    assert picks.pop() == frozenset({"e0_1", "e1_2", "e1_4"})
 
 
 def tie_heavy_cut_instances(seed, count):
@@ -273,7 +271,6 @@ def test_canonical_matches_greedy_reference():
         ref = canonical_double_cut_reference(g, costs)
         assert got.double_cut == ref.double_cut
         assert got.cost == got.dual_objective == ref.cost
-        assert got.certified
         assert got.flow_value is None and got.relief_total is None
     assert zero_bids > 0
 

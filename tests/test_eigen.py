@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,7 @@ import pytest
 from frugal import eigen
 from frugal.cut import (_cut_vc_instance, cm_run, contract_to_h,
                         select_double_cut)
-from frugal.eigen import (BruteForceCoverSolver, CoverSolver,
-                          MinimalCoverSolver, build_vc_instance,
+from frugal.eigen import (CoverSolver, MinimalCoverSolver, build_vc_instance,
                           ev_frugality_on_units, ev_run, probe_lower_bound,
                           scaled_costs, unit_bid_vector)
 from frugal.errors import DomainError, InputError
@@ -17,6 +17,7 @@ from frugal.flow import fm_run, prune_to_support, vc_from_flow
 from frugal.graph import Graph
 from frugal.oracle import (random_costs, random_cut_network,
                            random_flow_network, random_undirected_graph)
+from frugal.setsystems import VERTEX_COVER, SetSystem, tot
 
 TWO = Fraction(2)
 ONE = Fraction(1)
@@ -178,26 +179,51 @@ def test_disconnected_components_decompose():
     assert frozenset({"x", "y"}) <= out.winners
 
 
-def test_minimal_solver_matches_brute_force():
+def tie_heavy_vc_instances():
+    """150 G(n, 0.4) graphs with 8-10 vertices and their vertex-cover
+    Tot, each with 16 integer bid vectors 0..3: zero bids and exact
+    ties between covers on almost every draw."""
     rng = random.Random(11)
-    for trial in range(40):
-        g = random_undirected_graph(rng, rng.randint(2, 7),
-                                    p=rng.uniform(0.3, 0.9))
-        if not g.edges:
-            continue
-        brute = BruteForceCoverSolver(g)
-        fast = MinimalCoverSolver(g)
-        costs = {v: float(c) for v, c in
-                 random_costs(rng, g.vertices).items()}
-        assert fast.min_cover(costs)[1] == pytest.approx(
-            brute.min_cover(costs)[1], abs=1e-12)
-        for agent in g.vertices:
-            assert fast.min_cover_containing(agent, costs)[1] == \
-                pytest.approx(brute.min_cover_containing(agent, costs)[1],
-                              abs=1e-12)
-            assert fast.min_cover_excluding(agent, costs)[1] == \
-                pytest.approx(brute.min_cover_excluding(agent, costs)[1],
-                              abs=1e-12)
+    for _ in range(150):
+        g = random_undirected_graph(rng, rng.randint(8, 10), 0.4)
+        system = SetSystem(VERTEX_COVER, g)
+        inst = build_vc_instance(g, {v: tot(system, v) for v in g.vertices})
+        yield inst, [{v: rng.randint(0, 3) for v in sorted(g.vertices)}
+                     for _ in range(16)]
+
+
+def test_minimal_solver_matches_brute_force():
+    # Both solvers minimise one exact perturbed cost, so they choose the
+    # same covers on every draw, ties included, and pay the same.
+    draws = 0
+    for inst, bid_vectors in tie_heavy_vc_instances():
+        fast = dataclasses.replace(
+            inst, solver=MinimalCoverSolver(inst.conflict_graph))
+        for bids in bid_vectors:
+            brute, minimal = ev_run(inst, bids), ev_run(fast, bids)
+            assert minimal.winners == brute.winners
+            assert minimal.payments == brute.payments
+            draws += 1
+    assert draws == 2400
+
+
+@pytest.mark.parametrize("x_bids, b_bids", [
+    ((2**53, 1, 1), (2**53 - 2, 2, 2)),
+    ((2**53 - 2, 2, 2), (2**53, 1, 1)),
+], ids=["x-rounds-low", "b-rounds-low"])
+def test_exact_tie_between_covers_drops_the_highest_id(x_bids, b_bids):
+    # K_{3,3} with Tot 1: every q is 1.0, and both sides cost exactly
+    # 2^53 + 2, though one side's float sum rounds to 2^53. The tie rule
+    # drops x3, the highest id, so the b side wins either way.
+    xs, bs = ["x1", "x2", "x3"], ["b1", "b2", "b3"]
+    g = Graph.build(xs + bs, [(x + b, x, b) for x in xs for b in bs],
+                    directed=False)
+    inst = instance(g, ONE)
+    assert set(inst.q.values()) == {1.0}
+    bids = dict(zip(xs, x_bids)) | dict(zip(bs, b_bids))
+    assert ev_run(inst, bids).winners == frozenset(bs)
+    fast = dataclasses.replace(inst, solver=MinimalCoverSolver(g))
+    assert ev_run(fast, bids).winners == frozenset(bs)
 
 
 def test_eigen_residual_on_random_instances():

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ from frugal.eigen import build_vc_instance, ev_run
 from frugal.errors import InputError
 from frugal.flow import fm_run, vc_from_flow
 from frugal.graph import Graph
-from frugal.rational import integer_costs, python_integers
+from frugal.rational import integer_costs, python_integers, tie_broken
 from frugal.setsystems import VERTEX_COVER, SetSystem, nu
 
 
@@ -27,6 +29,33 @@ def test_integer_costs_of_nothing():
 def test_integer_costs_enforce_the_cost_rule(bad):
     with pytest.raises(InputError, match="'e'"):
         integer_costs({"a": 1, "e": bad})
+
+
+def test_tie_broken_adds_one_bit_per_key_in_id_order():
+    # {a} and {b, c} both cost 2: the set without c, the highest id of
+    # their symmetric difference, is the cheaper one perturbed.
+    weight = tie_broken({"c": 1, "a": 2, "b": 1})
+    assert weight == {"a": (2 << 3) + 1, "b": (1 << 3) + 2, "c": (1 << 3) + 4}
+    assert weight["a"] < weight["b"] + weight["c"]
+
+
+def test_tie_broken_sums_order_sets_as_the_costs_then_the_rule_do():
+    rng = random.Random(3)
+    for _ in range(20):
+        exact = {f"k{i}": rng.randint(0, 3) for i in range(6)}
+        weight = tie_broken(exact)
+        subsets = [frozenset(c) for r in range(7)
+                   for c in itertools.combinations(sorted(exact), r)]
+        for x, y in itertools.combinations(subsets, 2):
+            wx = sum(weight[k] for k in x)
+            wy = sum(weight[k] for k in y)
+            cx = sum(exact[k] for k in x)
+            cy = sum(exact[k] for k in y)
+            assert wx != wy
+            if cx != cy:
+                assert (wx < wy) == (cx < cy)
+            else:
+                assert (wx < wy) == (max(x ^ y) in y)
 
 
 def test_negative_zero_is_a_zero_cost():
