@@ -181,11 +181,11 @@ def cmd_double_cut(args) -> int:
 
 
 class _Draw(NamedTuple):
-    """A random instance: mechanism, agents `verify` probes, keys that
-    `frugality` draws costs over, Nash bound; for vc, instance and Tot."""
+    """A random instance: mechanism, agents (whom `verify` probes and
+    `frugality` draws costs over), Nash bound; for vc, instance and
+    Tot."""
     mechanism: Callable
     agents: Sequence[str]
-    cost_keys: Sequence[str]
     nu: Callable
     inst: Optional[VcInstance] = None
     tot: Optional[dict] = None
@@ -200,7 +200,7 @@ def _draw(suite: str, rng: random.Random) -> _Draw:
             sys_, tot_map, inst = _vc_setup(g)
         except FrugalError:
             continue
-        return _Draw(lambda b: ev_run(inst, b), inst.agents, g.vertices,
+        return _Draw(lambda b: ev_run(inst, b), g.vertices,
                      lambda c: nu(sys_, c).value, inst, tot_map)
     if suite == "flow":
         k = rng.randint(1, 2)
@@ -212,7 +212,7 @@ def _draw(suite: str, rng: random.Random) -> _Draw:
         mechanism, nu_fn = (lambda b: cm_run(g, b),
                             lambda c: nu(SetSystem(CUT, g), c).value)
     agents = [e.id for e in g.edges]
-    return _Draw(mechanism, agents, agents, nu_fn)
+    return _Draw(mechanism, agents, nu_fn)
 
 
 def _run_suite(suite: str, rng: random.Random, trials: int,
@@ -250,7 +250,7 @@ def cmd_frugality(args) -> int:
     rng = random.Random(args.seed)
 
     def run(draw):
-        vectors = [random_costs(rng, draw.cost_keys) for _ in range(5)]
+        vectors = [random_costs(rng, draw.agents) for _ in range(5)]
         outcomes = []
 
         def mechanism(costs):

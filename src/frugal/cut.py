@@ -384,9 +384,8 @@ class CutCoverSolver(CoverSolver):
         def cost(ids):
             return sum(costs[i] for i in ids)
 
-        chosen = [i for _, left, right in self.bundles
-                  for i in min(left, right, key=cost)]
-        return frozenset(chosen), cost(chosen)
+        return frozenset(i for _, left, right in self.bundles
+                         for i in min(left, right, key=cost))
 
 
 @lru_cache(maxsize=256)

@@ -50,30 +50,29 @@ def price_out(values: Iterable):
 class CoverSolver(ABC):
     """A min-cost vertex cover oracle on one conflict graph.
 
-    Subclasses answer `min_cover` only; the two constrained queries are
-    that query at changed prices. Solvers compare cover costs alone:
+    Every query returns the cover it chose, as a frozenset. Subclasses
+    answer `min_cover` only; the two constrained queries are that
+    query at changed prices. Solvers compare cover costs alone:
     `ev_run` asks on the `rational.tie_broken` integers of the scaled
     bids, where no two covers cost the same, so its queries are free
     of ties. On tied costs from any other caller, which cheapest cover
     comes back is the solver's own affair."""
 
     @abstractmethod
-    def min_cover(self, costs: dict) -> tuple[frozenset, object]:
-        """(a min-cost cover under `costs`, its cost)."""
+    def min_cover(self, costs: dict) -> frozenset:
+        """A min-cost cover under `costs`."""
 
-    def min_cover_excluding(self, agent: str, costs: dict):
+    def min_cover_excluding(self, agent: str, costs: dict) -> frozenset:
         """Min cover without `agent`: `agent` priced out. DomainError
         when `agent` wins even so."""
-        cover, cost = self.min_cover(
-            {**costs, agent: price_out(costs.values())})
+        cover = self.min_cover({**costs, agent: price_out(costs.values())})
         if agent in cover:
             raise DomainError(f"agent {agent!r} is in every cover")
-        return cover, cost
+        return cover
 
-    def min_cover_containing(self, agent: str, costs: dict):
+    def min_cover_containing(self, agent: str, costs: dict) -> frozenset:
         """Min cover containing `agent`, with `agent` priced at 0."""
-        cover, cost = self.min_cover({**costs, agent: 0 * costs[agent]})
-        return cover | {agent}, cost
+        return self.min_cover({**costs, agent: 0 * costs[agent]}) | {agent}
 
 
 @dataclass(frozen=True)
@@ -160,8 +159,7 @@ def _component_eigenpair(agents: list[str], adj: set[tuple[str, str]],
 class BruteForceCoverSolver(CoverSolver):
     """Exhaustive min-cost vertex cover over agent subsets.
 
-    Capped at `caps.SUBSET_CAP` (2^20) candidate subsets, or at
-    FRUGAL_SCALE_CAP when that is set.
+    ScaleError past `caps.COVER_AGENT_CAP` agents (2^20 subsets at 20).
     """
 
     def __init__(self, conflict_graph: Graph):
@@ -169,10 +167,9 @@ class BruteForceCoverSolver(CoverSolver):
         self.edges = tuple(sorted({tuple(sorted((e.tail, e.head)))
                                    for e in conflict_graph.edges
                                    if e.tail != e.head}))
-        limit = caps.cap(caps.SUBSET_CAP)
-        if 2 ** len(self.agents) > limit:
-            raise ScaleError(f"brute-force cover solver capped at {limit} "
-                             f"subsets")
+        if len(self.agents) > caps.COVER_AGENT_CAP:
+            raise ScaleError(f"brute-force cover solver capped at "
+                             f"{caps.COVER_AGENT_CAP} agents")
 
     def min_cover(self, costs):
         best = None
@@ -184,7 +181,7 @@ class BruteForceCoverSolver(CoverSolver):
                 cost = sum(costs[a] for a in combo)
                 if best is None or cost < best[0]:
                     best = cost, combo
-        return frozenset(best[1]), best[0]
+        return frozenset(best[1])
 
 
 class MinimalCoverSolver(CoverSolver):
@@ -201,11 +198,8 @@ class MinimalCoverSolver(CoverSolver):
                        for c in _minimal_vertex_covers(conflict_graph)]
 
     def min_cover(self, costs):
-        def value(cover):
-            return sum(costs[a] for a in cover)
-
-        best = min(self.covers, key=value)
-        return frozenset(best), value(best)
+        return frozenset(min(self.covers,
+                             key=lambda c: sum(costs[a] for a in c)))
 
 
 def build_vc_instance(conflict_graph: Graph, tot: dict,
@@ -246,11 +240,20 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
 
 
 def scaled_costs(inst: VcInstance, bids: dict) -> dict:
-    """Each agent's bid divided by its eigenvector entry. The bids pass
-    the package's one cost rule first: a missing, non-finite or
-    negative bid is an InputError."""
-    integer_costs({a: bids.get(a) for a in inst.agents})
-    return {a: float(bids[a]) / inst.q[a] for a in inst.agents}
+    """Each agent's bid divided by its eigenvector entry. Every bid,
+    an isolated agent's too, passes the package's one cost rule first:
+    a missing, non-finite or negative bid is an InputError, and so is
+    a bid whose float, or that float divided by q, overflows."""
+    integer_costs({a: bids.get(a) for a in (*inst.agents, *inst.isolated)})
+    scaled = {}
+    for a in inst.agents:
+        try:
+            scaled[a] = float(bids[a]) / inst.q[a]
+        except OverflowError:
+            scaled[a] = math.inf
+        if scaled[a] == math.inf:
+            raise InputError(f"bid for {a!r} overflows a float once scaled")
+    return scaled
 
 
 def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
@@ -268,10 +271,10 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     m = scaled_costs(inst, bids)
     exact = tie_broken(integer_costs(m)[1])
     q = inst.q
-    winners, _ = inst.solver.min_cover(exact)
+    winners = inst.solver.min_cover(exact)
     payments = {a: 0.0 for a in inst.agents}
     for u in sorted(winners):
-        rest, _ = inst.solver.min_cover_excluding(u, exact)
+        rest = inst.solver.min_cover_excluding(u, exact)
         payments[u] = q[u] * math.fsum(
             [m[a] for a in rest - winners]
             + [-m[a] for a in winners - rest - {u}])
@@ -280,7 +283,7 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
         payments[a] = 0.0
     total = float(sum(payments.values()))
     diagnostics = {"lambda": [c.eigenvalue for c in inst.components]}
-    return AuctionOutcome(frozenset(winners), payments, total, diagnostics)
+    return AuctionOutcome(winners, payments, total, diagnostics)
 
 
 def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
@@ -294,8 +297,10 @@ def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
     caps its payment. Priced out (`price_out` of all bids), the winner
     drops out whenever anything can replace it, and its exit bid is the
     cost of that choice less the cost of the choice with the winner
-    priced at 0: the bids on which the two sets differ, summed exactly
-    and rounded once. A winner chosen even when priced out has no exit.
+    priced at 0: the bids on which the two sets differ, summed exactly,
+    compared exactly with the cover payment and rounded once if lower,
+    so an exit bid past the float range leaves the payment as it is. A
+    winner chosen even when priced out has no exit.
     The reduction's `diagnostics` follow the cover auction's."""
     agents = list(agents)
     outcome = ev_run(inst, bids)
@@ -310,7 +315,8 @@ def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
             exit_bid = (sum(Fraction(bids[a]) for a in chosen - kept)
                         - sum(Fraction(bids[a])
                               for a in kept - chosen - {winner}))
-            payments[winner] = min(payments[winner], float(exit_bid))
+            if exit_bid < payments[winner]:
+                payments[winner] = float(exit_bid)
     total = sum(payments[w] for w in winners)
     return AuctionOutcome(outcome.winners, payments, total,
                           {**outcome.diagnostics, **diagnostics})
@@ -355,8 +361,7 @@ def probe_lower_bound(inst: VcInstance,
     edges = sorted({tuple(sorted((e.tail, e.head)))
                     for e in inst.conflict_graph.edges})
     for u, v in edges:
-        bids = {a: Fraction(0) for a in inst.agents}
-        bids[u] = Fraction(q[u])
+        bids = unit_bid_vector(inst, u, Fraction(q[u]))
         bids[v] = Fraction(q[v])
         outcome = mechanism(bids)
         if u in outcome.winners:

@@ -10,8 +10,8 @@ spectral bound the frugality guarantee.
 Costs may be the bids as given (pruning, exit caps), Fractions (nu) or
 the cover auction's integer images of its scaled bids. `min_cost_flow`
 solves on their exact integer images (see `rational.integer_costs`), so
-a float cost never rounds inside a solve; only the reported total keeps
-the callers' number type. Inputs are checked where they enter:
+a float cost never rounds inside a solve, and it returns the support it
+chose, with no total. Inputs are checked where they enter:
 `min_cost_flow` checks the network and each cost as it converts them,
 so `fm_run`'s pruning solve rejects a missing, negative or non-finite
 bid on any edge.
@@ -20,7 +20,6 @@ bid on any edge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,12 +29,6 @@ from .eigen import (AuctionOutcome, CoverSolver, VcInstance,
 from .graph import (Graph, adjacency, check_network, enumerate_st_paths,
                     path_labels, reach, shortest_paths)
 from .rational import integer_costs, python_integers, tie_broken
-
-
-@dataclass(frozen=True)
-class MinCostFlowResult:
-    support: frozenset  # edge ids carrying one unit
-    cost: object  # sum of the given costs over the support, in their type
 
 
 def successive_shortest_paths(vertices, arcs: list, source: str, sink: str,
@@ -85,8 +78,9 @@ def successive_shortest_paths(vertices, arcs: list, source: str, sink: str,
     return flow, total
 
 
-def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
-    """Min-cost flow of value k under unit capacities.
+def min_cost_flow(g: Graph, costs: dict, k: int) -> frozenset:
+    """The support of a min-cost flow of value k under unit
+    capacities: the ids of the edges that carry one unit.
 
     Successive shortest augmenting paths on the costs' exact integer
     images, perturbed by `rational.tie_broken`, so Fraction and float
@@ -104,20 +98,18 @@ def min_cost_flow(g: Graph, costs: dict, k: int) -> MinCostFlowResult:
                                             g.sink, value=k)
     if value < k:
         raise DomainError(f"network does not support {k} edge-disjoint paths")
-    support = frozenset(e.id for e, f in zip(edges, flow) if f)
-    total = sum(costs[eid] for eid in sorted(support))
-    return MinCostFlowResult(support, total)
+    return frozenset(e.id for e, f in zip(edges, flow) if f)
 
 
 def prune_to_support(g: Graph, costs: dict, k: int) -> Graph:
     """H: the subgraph on the support of a min-cost (k+1)-flow."""
     try:
-        result = min_cost_flow(g, costs, k + 1)
+        support = min_cost_flow(g, costs, k + 1)
     except DomainError as exc:
         raise MonopolyError(
             f"need {k + 1} edge-disjoint paths for a monopoly-free "
             f"{k}-flow auction") from exc
-    return g.subgraph_edges(result.support)
+    return g.subgraph_edges(support)
 
 
 def decompose_paths(g: Graph, k: int) -> list[list[str]]:
@@ -194,8 +186,7 @@ class FlowCoverSolver(CoverSolver):
         self.k = k
 
     def min_cover(self, costs):
-        res = min_cost_flow(self.h, costs, self.k)
-        return res.support, res.cost
+        return min_cost_flow(self.h, costs, self.k)
 
 
 @lru_cache(maxsize=256)
@@ -225,11 +216,9 @@ def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     costs = python_integers(costs)
     h = prune_to_support(g, costs, k)
 
-    def solve(c):
-        return min_cost_flow(g, c, k + 1).support
-
     return reduced_run(vc_from_flow(h, k), costs, (e.id for e in g.edges),
-                       solve, {"pruned_support": sorted(e.id for e in h.edges)})
+                       lambda c: min_cost_flow(g, c, k + 1),
+                       {"pruned_support": sorted(e.id for e in h.edges)})
 
 
 def nu_flow_fast(h: Graph, costs: dict, k: int) -> Fraction:

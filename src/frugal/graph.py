@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .caps import COVER_AGENT_CAP, PATH_CAP, cap
+from . import caps
 from .errors import DomainError, InputError, ScaleError
 from .rational import format_rational, parse_rational
 
@@ -115,11 +115,11 @@ def enumerate_st_paths(g: Graph) -> list[list[str]]:
     """All simple directed s-t paths as ordered edge-id lists.
 
     Deterministic: paths come out in lexicographic order of their
-    edge-id sequences. Raises ScaleError beyond the configured cap.
+    edge-id sequences. Raises ScaleError past `caps.PATH_CAP` paths.
     """
     if g.source is None or g.sink is None:
         raise InputError("graph has no designated source/sink")
-    limit = cap(PATH_CAP)
+    limit = caps.PATH_CAP
     paths: list[list[str]] = []
     trail: list[str] = []
     visited = {g.source}
@@ -147,9 +147,9 @@ def st_cut_crossings(g: Graph):
     """Yield, for every vertex set S holding s but not t, the ids of the
     edges leaving S. The sets come in order of size, then
     lexicographically on the sorted inner vertices. Raises ScaleError
-    beyond the configured cap on inner vertices."""
+    past `caps.COVER_AGENT_CAP` inner vertices."""
     inner = sorted(v for v in g.vertices if v not in (g.source, g.sink))
-    limit = cap(COVER_AGENT_CAP)
+    limit = caps.COVER_AGENT_CAP
     if len(inner) > limit:
         raise ScaleError(f"cut enumeration capped at {limit} inner vertices")
     for r in range(len(inner) + 1):

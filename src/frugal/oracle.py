@@ -30,7 +30,7 @@ def brute_double_cut(g: Graph, costs: dict) -> tuple[frozenset, Fraction]:
 
     Brute force only: ScaleError beyond the enumeration cap on edges."""
     order = sorted(e.id for e in g.edges)
-    limit = caps.cap(caps.DOUBLE_CUT_ENUM_EDGES)
+    limit = caps.DOUBLE_CUT_ENUM_EDGES
     if len(order) > limit:
         raise ScaleError(f"double cut enumeration capped at {limit} edges")
     idx = {eid: i for i, eid in enumerate(order)}

@@ -81,9 +81,9 @@ class SetSystem:
 
 
 def _minimal_vertex_covers(g: Graph) -> list[frozenset]:
-    if len(g.vertices) > caps.cap(caps.COVER_AGENT_CAP):
+    if len(g.vertices) > caps.COVER_AGENT_CAP:
         raise ScaleError(f"vertex-cover enumeration capped at "
-                         f"{caps.cap(caps.COVER_AGENT_CAP)} agents")
+                         f"{caps.COVER_AGENT_CAP} agents")
     vertices = set(g.vertices)
     # Minimal covers are complements of maximal independent sets, which
     # are the maximal cliques of the complement graph.
@@ -123,7 +123,7 @@ def _independent_set_masks(adj: list[int]) -> list[int]:
     the independent sets."""
     everyone = (1 << len(adj)) - 1
     non_adj = [everyone & ~nbrs & ~(1 << i) for i, nbrs in enumerate(adj)]
-    limit = caps.cap(caps.INDEPENDENT_SET_CAP)
+    limit = caps.INDEPENDENT_SET_CAP
     found: list[int] = []
 
     def expand(chosen: int, cand: int, done: int):
@@ -159,7 +159,7 @@ def _coloured_clique_number(adj: list[int]) -> Optional[int]:
     exponential in the worst case; together they take at most the
     independent-set cap's steps and answer None past it."""
     n = len(adj)
-    steps = caps.cap(caps.INDEPENDENT_SET_CAP)
+    steps = caps.INDEPENDENT_SET_CAP
     omega = 0
     branches = [(0, (1 << n) - 1)]  # (clique size, common neighbours)
     while branches:
@@ -211,9 +211,9 @@ def _bits(mask: int) -> list[int]:
 
 
 def _minimal_k_flows(g: Graph, k: int) -> list[frozenset]:
-    if len(g.edges) > caps.cap(caps.FLOW_EDGE_CAP):
+    if len(g.edges) > caps.FLOW_EDGE_CAP:
         raise ScaleError(f"k-flow enumeration capped at "
-                         f"{caps.cap(caps.FLOW_EDGE_CAP)} edges")
+                         f"{caps.FLOW_EDGE_CAP} edges")
     paths = [frozenset(p) for p in enumerate_st_paths(g)]
     unions: set[frozenset] = set()
 

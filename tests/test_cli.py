@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from frugal import cli, cut
+from frugal import caps, cli, cut
 from frugal.cli import main
 from frugal.cut import cm_run, select_double_cut
 from frugal.errors import InputError
@@ -286,7 +286,7 @@ def test_input_error_exit_code(capsys, tmp_path):
 
 
 def test_scale_error_exit_code(capsys, write, monkeypatch):
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "2")
+    monkeypatch.setattr(caps, "COVER_AGENT_CAP", 3)
     graph = write("g.json", {
         "directed": False,
         "vertices": ["a", "b", "c", "d"],

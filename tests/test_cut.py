@@ -179,14 +179,9 @@ def test_cut_cover_solver_queries(diamond):
     bundles = contract_to_h(diamond, frozenset({"sa", "sb", "at", "bt"}))
     solver = CutCoverSolver(bundles)
     costs = {k: float(v) for k, v in diamond_costs().items()}
-    cover, value = solver.min_cover(costs)
-    assert cover == frozenset({"sa", "sb"})
-    assert value == 3.0
-    cover, value = solver.min_cover_containing("at", costs)
-    assert "at" in cover and value == 2.0
-    cover, value = solver.min_cover_excluding("sa", costs)
-    assert cover == frozenset({"at", "sb"})
-    assert value == 5.0
+    assert solver.min_cover(costs) == frozenset({"sa", "sb"})
+    assert solver.min_cover_containing("at", costs) == frozenset({"at", "sb"})
+    assert solver.min_cover_excluding("sa", costs) == frozenset({"at", "sb"})
 
 
 def test_cm_run_worked_path(path_graph, path_costs):

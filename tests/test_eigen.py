@@ -6,14 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frugal import eigen
+from frugal import caps, eigen
 from frugal.cut import (_cut_vc_instance, cm_run, contract_to_h,
                         select_double_cut)
 from frugal.eigen import (CoverSolver, MinimalCoverSolver, build_vc_instance,
                           ev_frugality_on_units, ev_run, probe_lower_bound,
                           scaled_costs, unit_bid_vector)
-from frugal.errors import DomainError, InputError
-from frugal.flow import fm_run, prune_to_support, vc_from_flow
+from frugal.errors import DomainError, InputError, ScaleError
+from frugal.flow import (fm_run, min_cost_flow, prune_to_support,
+                         vc_from_flow)
 from frugal.graph import Graph
 from frugal.oracle import (random_costs, random_cut_network,
                            random_flow_network, random_undirected_graph)
@@ -332,7 +333,7 @@ def test_cover_solvers_answer_one_query():
 def test_excluding_an_agent_that_still_wins_is_a_domain_error():
     class KeepsEveryone(CoverSolver):
         def min_cover(self, costs):
-            return frozenset(costs), sum(costs.values())
+            return frozenset(costs)
 
     with pytest.raises(DomainError, match="'a'"):
         KeepsEveryone().min_cover_excluding("a", {"a": 1, "b": 2})
@@ -366,11 +367,11 @@ def test_threshold_is_the_exact_sum_rounded_once():
     kinds = set()
     for kind, inst, bids in _seeded_instances(random.Random(17), 12):
         m = scaled_costs(inst, bids)
-        winners, _ = inst.solver.min_cover(m)
+        winners = inst.solver.min_cover(m)
         outcome = ev_run(inst, bids)
         assert outcome.winners == winners
         for u in winners:
-            rest, _ = inst.solver.min_cover_excluding(u, m)
+            rest = inst.solver.min_cover_excluding(u, m)
             exact = (sum(Fraction(m[a]) for a in rest - winners)
                      - sum(Fraction(m[a]) for a in winners - rest - {u}))
             assert outcome.payments[u] == inst.q[u] * float(exact)
@@ -413,3 +414,75 @@ def test_large_bids_keep_the_threshold(run, bids, winner, paid):
     assert out.payments[winner] >= bids[winner]
     if paid is not None:
         assert out.payments[winner] == paid
+
+
+def test_an_exit_bid_past_the_float_range_leaves_the_payment():
+    # sc's bid keeps its path out of H and prices sa's exit near
+    # 10**400, which has no float; the cover threshold 3 stands.
+    out = fm_run(THREE_PATHS, {"sa": 1, "at": 1, "sb": 2, "bt": 2,
+                               "sc": 10**400, "ct": 1}, 1)
+    assert out.winners == frozenset({"sa", "at"})
+    assert out.payments["sa"] == out.payments["at"] == 3.0
+
+
+ABC_Z = Graph.build("abcz", [("ab", "a", "b"), ("bc", "b", "c")],
+                    directed=False)
+
+
+@pytest.mark.parametrize("z_bid, problem", [
+    ({}, "missing cost"), ({"z": float("nan")}, "non-finite cost"),
+    ({"z": -1}, "negative cost"), ({"z": "2"}, "unsupported type")])
+def test_an_isolated_agents_bid_passes_the_cost_rule(z_bid, problem):
+    inst = build_vc_instance(ABC_Z, {v: ONE for v in "abc"})
+    assert inst.isolated == ("z",)
+    with pytest.raises(InputError, match=problem) as err:
+        ev_run(inst, {"a": ONE, "b": ONE, "c": ONE, **z_bid})
+    assert "'z'" in str(err.value)
+
+
+@pytest.mark.parametrize("run, bids, agent", [
+    (lambda b: ev_run(instance(ABC_Z, ONE), b),
+     {"a": 10**400, "b": 1, "c": 1, "z": 0}, "a"),
+    (lambda b: ev_run(instance(ABC_Z, ONE), b),
+     {"a": 1, "b": 1.7e308, "c": 1.7e308, "z": 0}, "c"),
+    (lambda b: fm_run(DIAMOND, b, 1),
+     {"sa": 10**400, "at": 1, "sb": 1, "bt": 1}, "sa"),
+    (lambda b: cm_run(DIAMOND, b),
+     {"sa": 1, "at": 1, "sb": 1, "bt": 10**400}, "bt"),
+], ids=["ev_run-int", "ev_run-float", "fm_run", "cm_run"])
+def test_a_bid_that_overflows_once_scaled_is_an_input_error(run, bids,
+                                                            agent):
+    # 10**400 has no float; 1.7e308 has one, but not over c's q of 0.707.
+    with pytest.raises(InputError, match=f"bid for '{agent}' overflows"):
+        run(bids)
+
+
+def test_brute_force_cover_solver_cap(monkeypatch):
+    monkeypatch.setattr(caps, "COVER_AGENT_CAP", 3)
+    assert instance(ABC_Z, ONE).agents == ("a", "b", "c")
+    monkeypatch.setattr(caps, "COVER_AGENT_CAP", 2)
+    with pytest.raises(ScaleError, match="capped at 2 agents"):
+        instance(ABC_Z, ONE)
+
+
+@pytest.mark.parametrize("solver", ["brute", "minimal", "flow", "cut"])
+def test_every_cover_query_returns_the_cover_alone(solver):
+    if solver == "flow":
+        h, costs = DIAMOND, {"sa": 1, "at": 2, "sb": 3, "bt": 4}
+        inst = vc_from_flow(h, 1)
+    elif solver == "cut":
+        costs = {"sa": 1, "at": 2, "sb": 3, "bt": 4}
+        inst = _cut_vc_instance(contract_to_h(DIAMOND, frozenset(costs)))
+    else:
+        costs = {"a": 1, "b": 5, "c": 1}
+        inst = instance(ABC_Z, ONE)
+        if solver == "minimal":
+            inst = dataclasses.replace(
+                inst, solver=MinimalCoverSolver(inst.conflict_graph))
+    agent = min(costs)
+    for cover in (inst.solver.min_cover(costs),
+                  inst.solver.min_cover_containing(agent, costs),
+                  inst.solver.min_cover_excluding(agent, costs)):
+        assert type(cover) is frozenset and cover <= set(costs)
+    flow_costs = {"sa": 1, "at": 2, "sb": 3, "bt": 4}
+    assert type(min_cost_flow(DIAMOND, flow_costs, 2)) is frozenset

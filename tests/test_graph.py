@@ -52,20 +52,23 @@ def test_st_paths_lexicographic(three_flow):
     assert paths == [["u"], ["v", "x"], ["w", "y"]]
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-def test_scale_cap_override_must_be_a_positive_integer(monkeypatch, raw):
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", raw)
-    with pytest.raises(InputError, match=f"FRUGAL_SCALE_CAP.*'{raw}'"):
-        caps.cap(caps.PATH_CAP)
+def three_parallel():
+    return Graph.build(["s", "t"],
+                       [("e1", "s", "t"), ("e2", "s", "t"), ("e3", "s", "t")],
+                       source="s", sink="t")
 
 
 def test_st_path_cap(monkeypatch):
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "2")
-    g = Graph.build(["s", "t"],
-                    [("e1", "s", "t"), ("e2", "s", "t"), ("e3", "s", "t")],
-                    source="s", sink="t")
-    with pytest.raises(ScaleError):
-        enumerate_st_paths(g)
+    monkeypatch.setattr(caps, "PATH_CAP", 3)
+    assert len(enumerate_st_paths(three_parallel())) == 3
+    monkeypatch.setattr(caps, "PATH_CAP", 2)
+    with pytest.raises(ScaleError, match="more than 2 s-t paths"):
+        enumerate_st_paths(three_parallel())
+
+
+def test_no_environment_variable_changes_a_cap(monkeypatch):
+    monkeypatch.setenv("FRUGAL_SCALE_CAP", "1")
+    assert enumerate_st_paths(three_parallel()) == [["e1"], ["e2"], ["e3"]]
 
 
 def test_st_paths_need_endpoints(triangle):
@@ -237,8 +240,11 @@ def test_st_cut_crossings(path_graph):
 
 
 def test_st_cut_crossings_cap(monkeypatch, path_graph):
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "1")
-    with pytest.raises(ScaleError):
+    # path_graph has two inner vertices.
+    monkeypatch.setattr(caps, "COVER_AGENT_CAP", 2)
+    assert len(list(st_cut_crossings(path_graph))) == 4
+    monkeypatch.setattr(caps, "COVER_AGENT_CAP", 1)
+    with pytest.raises(ScaleError, match="capped at 1 inner vertices"):
         list(st_cut_crossings(path_graph))
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from frugal import caps
 from frugal.cut import (CutCoverSolver, cm_run, contract_to_h, double_cut_lp,
                         min_double_cut)
 from frugal.eigen import AuctionOutcome, build_vc_instance, ev_run
@@ -46,9 +47,12 @@ def test_brute_double_cut_matches_lp():
 
 
 def test_brute_double_cut_is_capped(monkeypatch, diamond):
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "3")
-    with pytest.raises(ScaleError):
-        brute_double_cut(diamond, {e.id: F(1) for e in diamond.edges})
+    costs = {e.id: F(1) for e in diamond.edges}
+    monkeypatch.setattr(caps, "DOUBLE_CUT_ENUM_EDGES", 4)
+    assert brute_double_cut(diamond, costs)[1] == 4
+    monkeypatch.setattr(caps, "DOUBLE_CUT_ENUM_EDGES", 3)
+    with pytest.raises(ScaleError, match="capped at 3 edges"):
+        brute_double_cut(diamond, costs)
 
 
 def test_conflict_pairs_match_reachability_rule():
@@ -131,8 +135,8 @@ def test_cut_cover_appends_a_pinned_edge_on_the_dearer_side():
                     directed=True, source="s", sink="t")
     solver = CutCoverSolver(contract_to_h(g, frozenset(e.id for e in g.edges)))
     costs = {"sa1": 7, "sa2": 5, "at": 1, "sb": 2, "bt": 3}
-    assert solver.min_cover_containing("sa1", costs) == (
-        frozenset({"at", "sa1", "sb"}), 3)
+    assert solver.min_cover_containing("sa1", costs) == frozenset(
+        {"at", "sa1", "sb"})
 
 
 def test_measure_frugality_triangle(triangle):

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 import frugal
-from frugal import setsystems
+from frugal import caps, setsystems
 from frugal.errors import InputError, MonopolyError, ScaleError
 from frugal.graph import Graph
 from frugal.lp import LEQ, LinearProgram, solve
@@ -77,8 +77,17 @@ def test_monopoly_detected(path_graph):
 
 def test_vertex_cover_scale_cap():
     g = Graph.build([f"v{i}" for i in range(25)], [], directed=False)
-    with pytest.raises(ScaleError):
+    with pytest.raises(ScaleError, match="capped at 20 agents"):
         vc(g).minimal_feasible_sets
+
+
+def test_k_flow_enumeration_cap(monkeypatch, three_flow):
+    sys_ = SetSystem(K_FLOW, three_flow, k=2)
+    monkeypatch.setattr(caps, "FLOW_EDGE_CAP", len(three_flow.edges))
+    assert len(sys_.minimal_feasible_sets) == 3
+    monkeypatch.setattr(caps, "FLOW_EDGE_CAP", len(three_flow.edges) - 1)
+    with pytest.raises(ScaleError, match="k-flow enumeration capped"):
+        SetSystem(K_FLOW, three_flow, k=2).minimal_feasible_sets
 
 
 def test_nu_second_price():
@@ -250,10 +259,10 @@ def test_independent_sets_capped(monkeypatch):
     # Two disjoint edges have four maximal independent sets.
     g = Graph.build(["a", "b", "c", "d"], [("ab", "a", "b"), ("cd", "c", "d")],
                     directed=False)
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "4")
+    monkeypatch.setattr(caps, "INDEPENDENT_SET_CAP", 4)
     assert len(_maximal_independent_sets(g)) == 4
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "3")
-    with pytest.raises(ScaleError):
+    monkeypatch.setattr(caps, "INDEPENDENT_SET_CAP", 3)
+    with pytest.raises(ScaleError, match="more than 3 maximal independent"):
         _maximal_independent_sets(g)
 
 
@@ -324,7 +333,7 @@ def test_colouring_search_past_its_cap_leaves_the_value_to_the_lp(
     # colouring search gives up at once; its four maximal independent
     # sets are within the LP's cap.
     g = as_graph(nx.complete_graph(4))
-    monkeypatch.setenv("FRUGAL_SCALE_CAP", "4")
+    monkeypatch.setattr(caps, "INDEPENDENT_SET_CAP", 4)
     assert fractional_clique_number(g) == 4
     assert len(lp_calls) == 1
 
