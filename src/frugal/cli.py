@@ -72,7 +72,7 @@ def _cuts_json(result) -> list | None:
 
 
 def _emit(data: dict) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(json.dumps(data, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _load_system(path: str) -> SetSystem:
@@ -261,8 +261,10 @@ def cmd_frugality(args) -> int:
 
     results = _run_suite(args.suite, rng, args.trials, run)
     worst = max([0.0, *(ratio for _, (ratio, _, _) in results)])
+    # A payment on a vector whose Nash bound is 0 has no finite ratio.
     report = {"seed": args.seed, "suite": args.suite,
-              "worst_ratio": _approx(worst)}
+              "worst_ratio": (None if worst == float("inf")
+                              else _approx(worst))}
     if args.suite == "vc":
         # The guaranteed payment bound is lambda * sum(c_v tot_v);
         # the ratio against nu can exceed lambda on rare instances.

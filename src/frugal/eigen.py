@@ -5,16 +5,17 @@ K = D A, where A is the conflict-graph adjacency matrix and
 D = diag(1/Tot(v)). Selection is a min-cost vertex cover under the
 scaled bids; winners are paid threshold bids.
 
-Every cover solver answers one query, `min_cover(costs)`; a cover
-without an agent is the min cover with that agent priced out
-(`price_out`). Eigenpairs are computed per connected component in
-floating point, by a pure-Python power iteration on the symmetrized
-D^{1/2} A D^{1/2} over the component's adjacency lists. Each row of its
-product is one correctly rounded sum (`math.fsum`), so agents that an
-automorphism of the conflict graph and its Tot swaps get the same
-entry, bit for bit, and no entry depends on the order a set lists
-neighbours in. The exact Nash quantities stay rational elsewhere, so
-scaled bids and payments here are floats. Each threshold is one
+Every cover solver answers one query, `min_cover(costs)`. The brute
+force answers the query for a cover without an agent by its definition,
+the cheapest cover among the other agents; the other solvers price that
+agent out (`price_out`). Eigenpairs are computed per connected
+component in floating point, by a pure-Python power iteration on the
+symmetrized D^{1/2} A D^{1/2} over the component's adjacency lists.
+Each row of its product is one correctly rounded sum (`math.fsum`), so
+agents that an automorphism of the conflict graph and its Tot swaps get
+the same entry, bit for bit, and no entry depends on the order a set
+lists neighbours in. The exact Nash quantities stay rational elsewhere,
+so scaled bids and payments here are floats. Each threshold is one
 correctly rounded sum of scaled bids over two covers, so it keeps its
 low bits even when the covers cost 2^53 or more.
 """
@@ -51,12 +52,13 @@ class CoverSolver(ABC):
     """A min-cost vertex cover oracle on one conflict graph.
 
     Every query returns the cover it chose, as a frozenset. Subclasses
-    answer `min_cover` only; the two constrained queries are that
-    query at changed prices. Solvers compare cover costs alone:
-    `ev_run` asks on the `rational.tie_broken` integers of the scaled
-    bids, where no two covers cost the same, so its queries are free
-    of ties. On tied costs from any other caller, which cheapest cover
-    comes back is the solver's own affair."""
+    must answer `min_cover`; the two constrained queries are that query
+    at changed prices unless a subclass answers one itself, as the
+    brute force does for `min_cover_excluding`. Solvers compare cover
+    costs alone: `ev_run` asks on the `rational.tie_broken` integers of
+    the scaled bids, where no two covers cost the same, so its queries
+    are free of ties. On tied costs from any other caller, which
+    cheapest cover comes back is the solver's own affair."""
 
     @abstractmethod
     def min_cover(self, costs: dict) -> frozenset:
@@ -94,7 +96,9 @@ class VcInstance:
 
     @property
     def max_eigenvalue(self) -> float:
-        return max(c.eigenvalue for c in self.components)
+        """The largest component eigenvalue; 0.0 with no edges, as
+        `ev_frugality_on_units` gives there."""
+        return max((c.eigenvalue for c in self.components), default=0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,9 +161,13 @@ def _component_eigenpair(agents: list[str], adj: set[tuple[str, str]],
 
 
 class BruteForceCoverSolver(CoverSolver):
-    """Exhaustive min-cost vertex cover over agent subsets.
+    """Exhaustive min-cost vertex cover over agent subsets, visited by
+    size, then lexicographically; the first cheapest one wins.
 
-    ScaleError past `caps.COVER_AGENT_CAP` agents (2^20 subsets at 20).
+    A cover without an agent is the cheapest among the subsets of the
+    other agents, not a query with that agent priced out, so this solver
+    checks `price_out` rather than using it. ScaleError past
+    `caps.COVER_AGENT_CAP` agents (2^20 subsets at 20).
     """
 
     def __init__(self, conflict_graph: Graph):
@@ -172,9 +180,23 @@ class BruteForceCoverSolver(CoverSolver):
                              f"{caps.COVER_AGENT_CAP} agents")
 
     def min_cover(self, costs):
+        return self._cheapest_cover(self.agents, costs)
+
+    def min_cover_excluding(self, agent, costs):
+        """Min cover among the subsets of the other agents: half the
+        subsets, and on non-negative costs the cover that pricing
+        `agent` out picks, ties included. The other agents always cover
+        the loopless edges this solver checks, so unlike the base
+        class's query this one raises no DomainError."""
+        return self._cheapest_cover(
+            tuple(a for a in self.agents if a != agent), costs)
+
+    def _cheapest_cover(self, agents, costs):
+        """The first cheapest cover among the subsets of `agents`, by
+        size, then lexicographically."""
         best = None
-        for r in range(len(self.agents) + 1):
-            for combo in itertools.combinations(self.agents, r):
+        for r in range(len(agents) + 1):
+            for combo in itertools.combinations(agents, r):
                 sel = set(combo)
                 if any(u not in sel and v not in sel for u, v in self.edges):
                     continue
@@ -256,6 +278,20 @@ def scaled_costs(inst: VcInstance, bids: dict) -> dict:
     return scaled
 
 
+def _rounded_sum(terms: list, what: str) -> float:
+    """The exact sum of the float `terms`, rounded once. `math.fsum`
+    also overflows on partial sums past the float range, so the exact
+    sum decides; an InputError naming `what` if it overflows too."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        pass
+    try:
+        return float(sum(map(Fraction, terms)))
+    except OverflowError:
+        raise InputError(f"{what} overflows a float") from None
+
+
 def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     """Run the eigenvector mechanism on one bid vector.
 
@@ -266,7 +302,8 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     the threshold is m(R_u - X*) - m(X* - R_u - {u}), summed exactly and
     rounded once, so the order of its terms does not matter. The covers
     are chosen on m's exact `rational.tie_broken` integers (floats are
-    dyadic), never on float sums.
+    dyadic), never on float sums. A threshold or a total payment past
+    the float range is an InputError.
     """
     m = scaled_costs(inst, bids)
     exact = tie_broken(integer_costs(m)[1])
@@ -275,13 +312,16 @@ def ev_run(inst: VcInstance, bids: dict) -> AuctionOutcome:
     payments = {a: 0.0 for a in inst.agents}
     for u in sorted(winners):
         rest = inst.solver.min_cover_excluding(u, exact)
-        payments[u] = q[u] * math.fsum(
+        payments[u] = q[u] * _rounded_sum(
             [m[a] for a in rest - winners]
-            + [-m[a] for a in winners - rest - {u}])
+            + [-m[a] for a in winners - rest - {u}],
+            f"threshold for {u!r}")
     # No minimal cover holds an isolated agent, so it loses at price 0.
     for a in inst.isolated:
         payments[a] = 0.0
     total = float(sum(payments.values()))
+    if total == math.inf:
+        raise InputError("total payment overflows a float")
     diagnostics = {"lambda": [c.eigenvalue for c in inst.components]}
     return AuctionOutcome(winners, payments, total, diagnostics)
 
@@ -300,8 +340,12 @@ def reduced_run(inst: VcInstance, bids: dict, agents: Iterable[str],
     priced at 0: the bids on which the two sets differ, summed exactly,
     compared exactly with the cover payment and rounded once if lower,
     so an exit bid past the float range leaves the payment as it is. A
-    winner chosen even when priced out has no exit.
-    The reduction's `diagnostics` follow the cover auction's."""
+    winner chosen even when priced out has no exit. The cover auction's
+    overflow errors stand even where an exit bid would have lowered the
+    payment; the total here sums payments no higher than the cover
+    auction's, in the same order, so it cannot overflow where that
+    total did not. The reduction's `diagnostics` follow the cover
+    auction's."""
     agents = list(agents)
     outcome = ev_run(inst, bids)
     winners = sorted(outcome.winners)

@@ -194,7 +194,7 @@ def test_frugality_vc_runs_the_auction_once_per_cost_vector(
                               "--trials", "3"])
     assert code == 0 and data["ok"] is True
     assert len(calls) == 5 * 3
-    assert (data["worst_ratio"] == float("inf")) == zero_nu
+    assert (data["worst_ratio"] is None) == zero_nu
 
 
 def test_double_cut(capsys, write, path_json):
@@ -227,6 +227,22 @@ def test_non_finite_costs_are_input_errors(capsys, write, path_json, bad):
     costs = write("c.json", {"sa": bad, "ab": "1", "bt": "1"})
     for command, flag in (("double-cut", "--costs"), ("cut-auction", "--bids")):
         assert main([command, "--graph", graph, flag, costs]) == 1
+
+
+def test_vc_auction_rejects_a_total_past_the_float_range(capsys, write):
+    # Each payment is a finite 1.41e308; the total would print Infinity.
+    graph = write("g.json", {
+        "directed": False, "vertices": list("abcdef"),
+        "edges": [{"id": t + h, "tail": t, "head": h}
+                  for t, h in ("ab", "bc", "de", "ef")]})
+    bids = write("b.json", {"a": "5e307", "b": "1", "c": "5e307",
+                            "d": "5e307", "e": "1", "f": "5e307"})
+    tot = write("t.json", dict.fromkeys("abcdef", "1"))
+    assert main(["vc-auction", "--graph", graph, "--bids", bids,
+                 "--tot", tot]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "total payment overflows a float" in err
 
 
 def test_explicit_costs_override_graph_costs(capsys, write, path_json):

@@ -9,7 +9,8 @@ import pytest
 from frugal import caps, eigen
 from frugal.cut import (_cut_vc_instance, cm_run, contract_to_h,
                         select_double_cut)
-from frugal.eigen import (CoverSolver, MinimalCoverSolver, build_vc_instance,
+from frugal.eigen import (BruteForceCoverSolver, CoverSolver,
+                          MinimalCoverSolver, build_vc_instance,
                           ev_frugality_on_units, ev_run, probe_lower_bound,
                           scaled_costs, unit_bid_vector)
 from frugal.errors import DomainError, InputError, ScaleError
@@ -339,6 +340,29 @@ def test_excluding_an_agent_that_still_wins_is_a_domain_error():
         KeepsEveryone().min_cover_excluding("a", {"a": 1, "b": 2})
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.randint(0, 2),
+    lambda rng: float(2**53 + rng.randint(0, 4)),
+    lambda rng: Fraction(rng.randint(0, 6), rng.randint(1, 3)),
+], ids=["tie-heavy-ints", "floats-from-2^53", "fractions"])
+def test_brute_force_exclusion_is_the_priced_out_cover(draw):
+    # The brute force searches the other agents; the base class prices
+    # the agent out at `price_out`. Both keep the first cheapest cover
+    # in one visiting order, so they agree on ties too.
+    rng = random.Random(20)
+    compared = 0
+    for _ in range(250):
+        g = random_undirected_graph(rng, rng.randint(1, 9),
+                                    p=rng.uniform(0.2, 0.8))
+        solver = BruteForceCoverSolver(g)
+        costs = {v: draw(rng) for v in solver.agents}
+        for agent in solver.agents:
+            assert (solver.min_cover_excluding(agent, costs)
+                    == CoverSolver.min_cover_excluding(solver, agent, costs))
+            compared += 1
+    assert compared > 1000
+
+
 def _seeded_instances(rng, count):
     """(kind, cover instance, bids) on `count` seeded draws each of
     G(n, p) with random Tot, pruned flow networks and cut bundles."""
@@ -455,6 +479,50 @@ def test_a_bid_that_overflows_once_scaled_is_an_input_error(run, bids,
     # 10**400 has no float; 1.7e308 has one, but not over c's q of 0.707.
     with pytest.raises(InputError, match=f"bid for '{agent}' overflows"):
         run(bids)
+
+
+TWO_PATHS = Graph.build("abcdef", [("ab", "a", "b"), ("bc", "b", "c"),
+                                   ("de", "d", "e"), ("ef", "e", "f")],
+                        directed=False)
+
+
+@pytest.mark.parametrize("graph, bids, problem", [
+    (ABC_Z, {"a": 1e308, "b": 1, "c": 1e308, "z": 0}, "threshold for 'b'"),
+    (ABC_Z, {"a": 10**308, "b": 1, "c": 10**308, "z": 0},
+     "threshold for 'b'"),
+    (TWO_PATHS, {"a": 5e307, "b": 1, "c": 5e307, "d": 5e307, "e": 1,
+                 "f": 5e307}, "total payment"),
+], ids=["threshold-float", "threshold-int", "total"])
+def test_a_payment_past_the_float_range_is_an_input_error(graph, bids,
+                                                          problem):
+    # The scaled bids are finite (1.41e308 on the path's ends), but b's
+    # threshold is twice that; on two paths each payment is a finite
+    # 1.41e308 and their total is not.
+    with pytest.raises(InputError, match=f"{problem} overflows a float"):
+        ev_run(instance(graph, ONE), bids)
+
+
+def test_a_threshold_whose_partial_sums_overflow_is_paid():
+    # The 4-cycle u-a-c-b with q 1/4 on u and c: u's threshold is
+    # m(a) + m(b) - m(c) = 1e308 + 1e308 - 0.9e308, finite though its
+    # first two terms overflow a float.
+    g = Graph.build("abcu", [("ua", "u", "a"), ("ac", "a", "c"),
+                             ("cb", "c", "b"), ("bu", "b", "u")],
+                    directed=False)
+    inst = build_vc_instance(g, {"a": ONE, "b": ONE, "c": Fraction(16),
+                                 "u": Fraction(16)})
+    assert inst.q == {"a": 1.0, "b": 1.0, "c": 0.25, "u": 0.25}
+    out = ev_run(inst, {"a": 1e308, "b": 1e308, "c": 2.25e307,
+                        "u": 2.25e307})
+    assert out.winners == frozenset("cu")
+    assert out.payments["u"] == out.payments["c"] == 2.75e307
+    assert out.total_payment == 5.5e307
+
+
+def test_max_eigenvalue_with_no_edges_is_the_unit_frugality():
+    inst = build_vc_instance(Graph.build("ab", [], directed=False), {})
+    assert inst.isolated == ("a", "b")
+    assert inst.max_eigenvalue == ev_frugality_on_units(inst) == 0.0
 
 
 def test_brute_force_cover_solver_cap(monkeypatch):
