@@ -5,7 +5,8 @@ meeting every s-t path at least twice. Contracting everything else
 collapses the graph to parallel bundles E_i (s to v_i) and E_i' (v_i
 to t); an s-t cut must take a full side of every bundle, which is a
 vertex cover of a disjoint union of complete bipartite graphs. The
-eigenvector cover auction finishes the job with Tot identically 1.
+eigenvector cover auction finishes the job with Tot identically 1 and
+each K_{a,b}'s Perron pair in closed form, within one ulp.
 
 The double cut itself comes from a primal-dual algorithm. Its dual is
 the relief flow, a min-cost flow in which every edge carries up to its
@@ -25,6 +26,7 @@ converts them, and `select_double_cut` the edges off every s-t path, so
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,8 +34,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import DomainError, InputError, MonopolyError
-from .eigen import (AuctionOutcome, CoverSolver, VcInstance,
-                    build_vc_instance, reduced_run)
+from .eigen import (AuctionOutcome, ComponentEigenpair, CoverSolver,
+                    VcInstance, reduced_run)
 from .flow import successive_shortest_paths
 from .graph import (Edge, Graph, adjacency, check_network, components,
                     enumerate_st_paths, reach, shortest_paths)
@@ -390,9 +392,22 @@ class CutCoverSolver(CoverSolver):
 
 @lru_cache(maxsize=256)
 def _cut_vc_instance(bundles: BundleStructure) -> VcInstance:
+    """The bundles' cover instance, Tot 1 on every agent, with no power
+    iteration: bundle i is the component K_{a,b}, a = |E_i|, b = |E_i'|,
+    whose Perron pair is sqrt(ab) with entries sqrt(b) on E_i and
+    sqrt(a) on E_i', scaled to 1.0 on the smaller side."""
+    comps = []
+    for _, left, right in bundles.bundles:
+        a, b = len(left), len(right)
+        comps.append(ComponentEigenpair(
+            tuple(sorted(left + right)), math.sqrt(a * b),
+            {**dict.fromkeys(left, min(1.0, math.sqrt(b / a))),
+             **dict.fromkeys(right, min(1.0, math.sqrt(a / b)))}))
+    comps.sort(key=lambda c: c.agents)
     cg = cut_conflict_graph(bundles)
-    tot = {eid: Fraction(1) for eid in cg.vertices}
-    return build_vc_instance(cg, tot, solver=CutCoverSolver(bundles))
+    return VcInstance(cg, dict.fromkeys(cg.vertices, Fraction(1)),
+                      tuple(comps), CutCoverSolver(bundles), (), cg.vertices,
+                      {a: x for c in comps for a, x in c.vector.items()})
 
 
 def path_edge_ids(g: Graph) -> frozenset:

@@ -8,16 +8,22 @@ scaled bids; winners are paid threshold bids.
 Every cover solver answers one query, `min_cover(costs)`. The brute
 force answers the query for a cover without an agent by its definition,
 the cheapest cover among the other agents; the other solvers price that
-agent out (`price_out`). Eigenpairs are computed per connected
-component in floating point, by a pure-Python power iteration on the
-symmetrized D^{1/2} A D^{1/2} over the component's adjacency lists.
-Each row of its product is one correctly rounded sum (`math.fsum`), so
-agents that an automorphism of the conflict graph and its Tot swaps get
-the same entry, bit for bit, and no entry depends on the order a set
-lists neighbours in. The exact Nash quantities stay rational elsewhere,
-so scaled bids and payments here are floats. Each threshold is one
-correctly rounded sum of scaled bids over two covers, so it keeps its
-low bits even when the covers cost 2^53 or more.
+agent out (`price_out`). `build_vc_instance`, which the vertex-cover
+and flow auctions use, computes eigenpairs per connected component in
+floating point, by a pure-Python power iteration on the symmetrized
+D^{1/2} A D^{1/2} over the component's adjacency lists. Each row of its
+product is one correctly rounded sum (`math.fsum`), so agents that an
+automorphism of the conflict graph and its Tot swaps get the same entry,
+bit for bit, and no entry depends on the order a set lists neighbours
+in. The iteration stops on a residual of `EIGEN_RESIDUAL_TOL`, but q's
+error is that residual over the spectral gap: up to 2.7e-10 relative
+against numpy's `eigh` on seeded G(n, p) components. The cut auction's
+conflict graph is a disjoint union of complete bipartite graphs K_{a,b}
+with Tot 1, whose Perron pairs `cut._cut_vc_instance` writes down in
+closed form, within one ulp. The exact Nash quantities stay rational
+elsewhere, so scaled bids and payments here are floats. Each threshold
+is one correctly rounded sum of scaled bids over two covers, so it
+keeps its low bits even when the covers cost 2^53 or more.
 """
 
 from __future__ import annotations

@@ -54,6 +54,15 @@ DIAMOND = {"directed": True, "source": "s", "sink": "t",
                      {"id": "bt", "tail": "b", "head": "t"}]}
 DIAMOND_LARGE_BIDS = {"sa": str(2**62), "at": str(2**62 + 2**12),
                       "sb": "1", "bt": "3"}
+# One bundle K_{1,4}: s-v, then four parallel v-t edges. With Tot 1 the
+# v-t entries are exactly 1/2, so {sv} and {vt1..vt4} both cost 2 once
+# scaled, and the tie rule, dropping the highest id vt4, buys {sv}.
+TIE_NETWORK = {"directed": True, "source": "s", "sink": "t",
+               "vertices": ["s", "v", "t"],
+               "edges": [{"id": "sv", "tail": "s", "head": "v", "cost": "2"},
+                         {"id": "vt1", "tail": "v", "head": "t", "cost": "1"}]
+               + [{"id": f"vt{i}", "tail": "v", "head": "t", "cost": "0"}
+                  for i in (2, 3, 4)]}
 
 FILES = {
     "cover": COVER,
@@ -64,6 +73,7 @@ FILES = {
     "network_costs": NETWORK_COSTS,
     "diamond": DIAMOND,
     "diamond_large_bids": DIAMOND_LARGE_BIDS,
+    "tie_network": TIE_NETWORK,
     "vc_system": {"kind": "vertex-cover", "graph": COVER},
     "flow_system": {"kind": "k-flow", "k": 1, "graph": NETWORK},
     "cut_system": {"kind": "cut", "graph": NETWORK},
@@ -82,6 +92,7 @@ CASES = {
     "cut_auction": "cut-auction --graph {network}",
     "cut_auction_large_bids": "cut-auction --graph {diamond} "
                               "--bids {diamond_large_bids}",
+    "cut_auction_tie": "cut-auction --graph {tie_network}",
     "double_cut": "double-cut --graph {network}",
     "nu_vc": "nu --system {vc_system} --costs {cover_bids}",
     "nu_flow": "nu --system {flow_system} --costs {network_costs}",

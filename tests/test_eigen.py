@@ -274,24 +274,39 @@ def test_eigenpairs_match_eigh():
     assert count >= 300
 
 
-def test_bundle_sides_get_identical_entries():
-    # Each cut bundle is a K_{a,b} with Tot 1, and any permutation of a
-    # side is an automorphism. Each row of the power iteration is one
-    # correctly rounded sum, so a side's entries are the same float.
+def test_cut_bundles_get_the_closed_form_eigenpair():
+    # Each cut bundle is a K_{a,b} with Tot 1, whose Perron pair is
+    # sqrt(ab) with entry 1.0 on the smaller side and sqrt(small /
+    # large) on the other. The power iteration on the same conflict
+    # graph lists the components in the same order, and agrees to
+    # within its own error.
     rng = random.Random(5)
-    sides = 0
+    bundles_seen = 0
     for _ in range(600):
         g = random_cut_network(rng, rng.randint(8, 12), rng.randint(12, 26))
         bids = {e.id: Fraction(rng.randint(0, 8), rng.randint(1, 4))
                 for e in sorted(g.edges, key=lambda e: e.id)}
         core, result = select_double_cut(g, bids)
         bundles = contract_to_h(core, result.double_cut)
-        q = _cut_vc_instance(bundles).q
+        inst = _cut_vc_instance(bundles)
+        comps = {c.agents: c for c in inst.components}
         for _, left, right in bundles.bundles:
+            comp = comps.pop(tuple(sorted(left + right)))
+            small, large = sorted((len(left), len(right)))
+            assert comp.eigenvalue == math.sqrt(small * large)
             for side in (left, right):
-                assert len({q[a] for a in side}) == 1, side
-                sides += 1
-    assert sides >= 1000
+                entry = 1.0 if len(side) == small else math.sqrt(small / large)
+                assert all(comp.vector[a] == inst.q[a] == entry
+                           for a in side)
+            bundles_seen += 1
+        assert not comps
+        iterated = build_vc_instance(inst.conflict_graph, inst.tot)
+        assert ([c.agents for c in iterated.components]
+                == [c.agents for c in inst.components])
+        for c, it in zip(inst.components, iterated.components):
+            assert it.eigenvalue == pytest.approx(c.eigenvalue, rel=1e-12)
+        assert iterated.q == pytest.approx(inst.q, rel=1e-12)
+    assert bundles_seen >= 600
 
 
 def _symmetric_graphs():

@@ -104,36 +104,36 @@ def digests(name: str) -> list:
 
 DIGESTS = {
     "cm_run": [
-        "ef5dc1e85766e92a240456bfa19ec29078f2885c3f78c21916860435a719e7a0",
-        "0ccd481d3283df9e2d0e9cfa16ecfe78f3c8fd1673e0eddaff2a5c41cf3e1800",
-        "ea2730f38a792fa5af2738ecb52653b0edd8e7dd534232ce56b627b27a48177f",
-        "3331dc6bf679ff1c5721c7e12856366e60014dc2c95f7de3b13761e308306eff",
-        "45c777bffe612494a08b51264a3108872faf2d94c9663c387bf24916b9444044",
-        "235b1f6a05c9d6c717f791c6f80ca664fe584163bb83f35d6ebb5538b57ad831",
-        "4c20d8de311ac97131bbe3a809230db506cfad7cae66b94798c3398d9a1bfc6f",
-        "f54efef3a4cc34540c016c0c8ba830906928474e530b7e0be36da9cecfb0f4a5",
-        "685ff9b2a77206907d8f9faecc6054f95acd92e81501bfa4394fe686303d1794",
-        "6a37f9601f6460372b551f86711138a0574cbd98657132b7007cc295c3ccbecd",
-        "3af61f88d7a69c931f93abd348070ddc18cb47de912af15d5aa474e0bdfbf697",
-        "d34f46da485bdade501fac3d46ae0dae3e8caf0c86610975ab2b3fdc59c6eb7c",
-        "6ac6e1e1ac08236259fc456e9c9c68c8ffe3f2d1999304a186d51adfb7cbc653",
-        "62d4245ee3630a35e0083605f61e9d5e92ed74fe14a73201f12065cb1730080d",
-        "f85f807d13fd0af537c842c707c1bb8c45d446ad3f489b9b96b8f3d268c55bd1",
-        "fa0f8354c08a650a9a5f9da0fa5b8cf6d821b1c806e70d9b0591fb04d7ea8836",
-        "7baf71b7c7e1f4688626a1afada266e92dd50a3f1321edc810e2e87d414ea196",
-        "a50377d2208c12d161abca0557ac887b76ca43a740b332c01d8a94bdbcf4484d",
-        "60097be3c3f3a4aa9307a63bc0f14acb2b509f71b3c0699533944b630eefa441",
-        "9a9cdc96a5c00d741cdba018dd76d7971dd11aedcb0a24f78e98c74a80d128cb",
-        "a119a9d6168c97c12f13fb7b9938bd8a19b79773d70e5aed3c5b489936ddc94c",
-        "e4e9d8d6d2fba8af56ee2a1a4b85ce198ddf7720bbf612d74ff86c220a49689d",
-        "0dc5cfc3d2855ee28a21dacd5fbbfff50f1a2c73d30edef69c0f973aa9684762",
-        "d0f0b183f3dbdbe6455b2a355d5989abb51905f11c3c86e19da33e2cb67544dd",
-        "b1afe707ec749dfd731b9238d86930bb0b88a16a705f6ab6191a024c1261164d",
-        "bf17df06770eca8f5161832b3c53038c8f9f2de8c65cb410a467d57754345d79",
-        "4492a79d0dfada45a1287c92bd3c1442dc5032dcb14a26b1029253c4c87cad66",
-        "70d73fbbb99c345e43c5b81ca66fdb7bb7352c51c4256e0bcfed77854572908d",
-        "703be6bdc053d57529957711c652776e2a0c0508e4d9fb238c11d802d3b17284",
-        "54f364d0c065b9c9440bfb22f125bd91e6d4168f55168d172a1d2e5af39016d2",
+        "749c5568183292a8b88c5c31c5e0cd9060a46962a01520fcafdd1c78cc220ad7",
+        "53ddd689d4f8d87fe1bd092793bf6016a6f88a259038af6186b6d71aa69bc01d",
+        "728eccf3322adc8dc349baf56c079b0f5a5be12821758b721f4c023471c9da6d",
+        "cc3eb3708d11854c4bc07c170b1690e03cd8b364013f0428f94348c98d0c4833",
+        "3dccc0f9704d64dde888fe4999718ace275f07bcfd833e1d9f6d83a510f974e1",
+        "b146659d621b5ea7909c71951c93267e63afee17bc35dd4f989121e72e1454ce",
+        "7e84a3e5ad561e101ac02de60644ad64fdaf2f17770c499ea8e8577c9dd7d15a",
+        "ff5f9a183326a529f233ccbd50113e6dd0dc786a2003dc79c8c7ddf960ae8b8b",
+        "caf3109237182c5dd1367f3bbd65296b21ae5a07e206ae82320a636931894595",
+        "942d94e03404dd68da77e7f4465199720af32779cecaaafa394e66cc5daaf4d5",
+        "18ffc0b5088a2f3d1c69209930ff54f3b2017c0062d35ceb979424ab70901979",
+        "7339ec2997f51798e06f1bc2ecff34e40a425c89a890d990561759366b725d7e",
+        "6de51c24a459b82de10a3c3f8ea765eeb8d51d76d48fb4045fc79e262c0c8ee7",
+        "102c2ecb3c45e36cba7a189aadaf57c89c5a624cbe221aac88ebc68fe3feef45",
+        "815569dd0bb41aacfbcdd2f44e6a658444254516c4bbb2b5bfb07a24a5da421b",
+        "a7dadee7bd099f6c27d6bcf76f0345667b23e797a408517725f120174d84f91c",
+        "d7c56b8e3fc2736d8cf94661954a115ef9c4390a2074b8edab996081fd49646b",
+        "2f0fc860db6161bbadd2c618f130a6a05f37ba92e14d45144429725eeeedc464",
+        "e12af184b3ce8aa0db8261ca0cd6de986f195d4dc1f2f55ae6def6dc7bcc14a8",
+        "a41d0bc00755061debab20ab6b8a3f486682f1236de909792d56e8fe475fba0b",
+        "f2fbb9482e09048e5d92e697f8e6c716526d5d947d5a175b92536af620df5b41",
+        "088b77d81c9b8694f7130a1d517104da521df883411747bdf9a845fc3073c4fc",
+        "0be6d0027c107233a96a1e9ae9e8e7e7ce420f83649b561bc3a1b39848bc1624",
+        "01f15733d66ff88eccf9ed69bfda7e16c10017e2cd710f0aaad49a3982874e90",
+        "e50796c08ef60c8fb88a601d09a63367b6effc94a0f4be22e00d997997ac1b00",
+        "3581e1a5d33edfcce7dac99162ae43ab5c5ef527cc255037877cb942f4bdc4df",
+        "59e7383048bc9a0a1b67d5a91217af82b6100ca254a356b68112a908fa258c12",
+        "c99a391f772107a6dc955c725000c25bd15d96623c6dda6a74ae53d915a85d2d",
+        "94adc6df7b7dc1d395c384c32962c5ba4f97e43fdb96e155a28016299cc60a05",
+        "9140dd1ef6ec3aca7dcd4f994af6dda0157023f8669ad3ae9af6eb3f41aa8132",
     ],
     "ev_run": [
         "1c3a3321303f2d8a3312c78fddf88845d9de37a9e34897e6e24ca38534d7246d",
