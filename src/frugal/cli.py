@@ -23,7 +23,7 @@ from .graph import graph_from_json
 from .oracle import (check_truthfulness, measure_frugality, random_costs,
                      random_cut_network, random_kplus1_flow,
                      random_undirected_graph)
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, rounded_ratio
 from .setsystems import CUT, K_FLOW, VERTEX_COVER, SetSystem, nu, tot
 
 EXIT_OK = 0
@@ -61,6 +61,11 @@ def _load_costs(path: str) -> dict:
 def _approx(x: float) -> float:
     """Round to 12 significant digits for stable serialization."""
     return float(f"{x:.12g}")
+
+
+def _ratio_json(x: float) -> float | None:
+    """A ratio for output: null where it has no finite value."""
+    return None if x == float("inf") else _approx(x)
 
 
 def _payments_json(payments: dict) -> dict:
@@ -142,7 +147,8 @@ def cmd_flow_auction(args) -> int:
         nu_g = None
     bound = nu_g if (nu_g is not None and nu_g > 0) else nu_h
     if bound > 0:
-        data["ratio"] = _approx(outcome.total_payment / float(bound))
+        data["ratio"] = _ratio_json(rounded_ratio(outcome.total_payment,
+                                                  bound))
     _emit(data)
     return EXIT_OK
 
@@ -263,8 +269,7 @@ def cmd_frugality(args) -> int:
     worst = max([0.0, *(ratio for _, (ratio, _, _) in results)])
     # A payment on a vector whose Nash bound is 0 has no finite ratio.
     report = {"seed": args.seed, "suite": args.suite,
-              "worst_ratio": (None if worst == float("inf")
-                              else _approx(worst))}
+              "worst_ratio": _ratio_json(worst)}
     if args.suite == "vc":
         # The guaranteed payment bound is lambda * sum(c_v tot_v);
         # the ratio against nu can exceed lambda on rare instances.

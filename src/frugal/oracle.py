@@ -21,6 +21,7 @@ from .cut import DoubleCutResult, min_double_cut
 from .eigen import AuctionOutcome
 from .errors import DomainError, ScaleError
 from .graph import Graph, enumerate_st_paths, reachable, st_cut_crossings
+from .rational import rounded_ratio
 
 Mechanism = Callable[[dict], AuctionOutcome]
 
@@ -201,19 +202,21 @@ NuFunction = Callable[[dict], Fraction]
 
 def measure_frugality(mechanism: Mechanism, nu_fn: NuFunction,
                       cost_vectors: Iterable[dict]) -> float:
-    """Worst total-payment / Nash-bound ratio over the given costs.
+    """Worst total-payment / Nash-bound ratio over the given costs,
+    each ratio exact and rounded once (`rational.rounded_ratio`).
 
-    Vectors whose Nash bound is zero are skipped unless the mechanism
-    also pays more than rounding noise, which counts as infinite."""
+    Vectors whose exact Nash bound is zero are skipped unless the
+    mechanism also pays more than rounding noise, which counts as
+    infinite."""
     worst = 0.0
     for costs in cost_vectors:
         outcome = mechanism(costs)
-        bound = float(nu_fn(costs))
-        if bound == 0.0:
+        bound = nu_fn(costs)
+        if bound == 0:
             if outcome.total_payment > 1e-9:
                 return float("inf")
             continue
-        worst = max(worst, outcome.total_payment / bound)
+        worst = max(worst, rounded_ratio(outcome.total_payment, bound))
     return worst
 
 

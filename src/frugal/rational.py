@@ -113,6 +113,16 @@ def python_integers(costs: dict) -> dict:
             for key, c in costs.items()}
 
 
+def rounded_ratio(x, bound: Fraction) -> float:
+    """x / bound for a positive exact `bound`, computed exactly and
+    rounded once: a bound whose float underflows to 0.0 still divides,
+    and a ratio past the float range is inf."""
+    try:
+        return float(Fraction(x) / bound)
+    except OverflowError:
+        return math.inf
+
+
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q" (denominator always explicit, e.g. "2/1")."""
     return f"{value.numerator}/{value.denominator}"

@@ -124,6 +124,25 @@ def test_flow_auction(capsys, write, three_flow_json):
     assert set(data["winners"]) <= {"u", "v", "w", "x", "y"}
 
 
+def test_flow_auction_ratio_against_a_bound_below_the_float_range(
+        capsys, write):
+    # nu is 1/10^400, whose float is 0.0; the ratio divides exactly.
+    graph = write("g.json", {
+        "directed": True, "source": "s", "sink": "t",
+        "vertices": ["s", "a", "b", "t"],
+        "edges": [{"id": "sa", "tail": "s", "head": "a"},
+                  {"id": "at", "tail": "a", "head": "t"},
+                  {"id": "sb", "tail": "s", "head": "b"},
+                  {"id": "bt", "tail": "b", "head": "t"}]})
+    tiny = f"1/{10**400}"
+    bids = write("b.json", {"sa": tiny, "sb": tiny, "at": "0", "bt": "0"})
+    code, data = run(capsys, ["flow-auction", "--graph", graph,
+                              "--bids", bids, "-k", "1"])
+    assert code == 0
+    assert data["nu_G"] == f"1/{10**400}"
+    assert data["ratio"] == 0.0
+
+
 def test_cut_auction(capsys, write, path_json):
     graph = write("g.json", path_json)
     code, data = run(capsys, ["cut-auction", "--graph", graph])

@@ -178,6 +178,19 @@ def test_measure_frugality_flags_payment_over_zero_bound(triangle):
                              zero) == float("inf")
 
 
+def test_measure_frugality_divides_by_the_exact_bound():
+    # The bound's float is 0.0, but the bound is not zero.
+    def paying(payment):
+        return lambda costs: AuctionOutcome(frozenset(), {}, payment)
+
+    tiny = F(1, 10**400)
+    assert measure_frugality(paying(2.0**-1070), lambda c: tiny,
+                             [{}]) == float(F(2)**-1070 * 10**400)
+    assert measure_frugality(paying(0.0), lambda c: tiny, [{}]) == 0.0
+    assert measure_frugality(paying(1.0), lambda c: tiny,
+                             [{}]) == float("inf")
+
+
 def test_generators_are_seeded():
     a = random_cut_network(random.Random(9), 5, 6)
     b = random_cut_network(random.Random(9), 5, 6)

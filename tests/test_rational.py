@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from frugal.eigen import build_vc_instance, ev_run
 from frugal.errors import InputError
 from frugal.flow import fm_run, vc_from_flow
 from frugal.graph import Graph
-from frugal.rational import integer_costs, python_integers, tie_broken
+from frugal.rational import (integer_costs, python_integers, rounded_ratio,
+                             tie_broken)
 from frugal.setsystems import VERTEX_COVER, SetSystem, nu
 
 
@@ -126,3 +128,11 @@ def test_large_numpy_integer_bids_do_not_wrap(entry):
            "fm_run": lambda b: fm_run(DIAMOND, b, 1),
            "cm_run": lambda b: cm_run(DIAMOND, b)}[entry]
     assert run({a: np.int64(b) for a, b in bids.items()}) == run(bids)
+
+
+def test_rounded_ratio_is_exact_and_rounded_once():
+    # 0.1 / float(1/9) rounds twice and gives 0.9000000000000001.
+    assert rounded_ratio(0.1, Fraction(1, 9)) == 0.9
+    assert rounded_ratio(0.0, Fraction(1, 10**400)) == 0.0
+    assert rounded_ratio(2.0**-1000, Fraction(1, 10**400)) > 1e98
+    assert rounded_ratio(1.0, Fraction(1, 10**400)) == math.inf
