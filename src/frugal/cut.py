@@ -25,9 +25,7 @@ converts them, and `select_double_cut` the edges off every s-t path, so
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,25 +64,21 @@ class DoubleCutResult:
     relief_total: Optional[Fraction] = None
 
 
-def is_double_cut(g: Graph, edge_ids: frozenset) -> bool:
-    """True iff every s-t path uses at least two of the given edges.
+def _sides(g: Graph, d) -> tuple[set, set]:
+    """What s reaches, and what reaches t, on the edges outside d."""
+    rest = [e for e in g.edges if e.id not in d]
+    return (reach(adjacency(rest), g.source),
+            reach(adjacency(rest, reverse=True), g.sink))
 
-    Computed as a 0-1 shortest path (chosen edges weigh 1)."""
-    dist = {v: None for v in g.vertices}
-    dist[g.source] = 0
-    dq = deque([g.source])
-    while dq:
-        v = dq.popleft()
-        for e in g.out_edges(v):
-            w = 1 if e.id in edge_ids else 0
-            nd = dist[v] + w
-            if dist[e.head] is None or nd < dist[e.head]:
-                dist[e.head] = nd
-                if w:
-                    dq.append(e.head)
-                else:
-                    dq.appendleft(e.head)
-    return dist[g.sink] is None or dist[g.sink] >= 2
+
+def is_double_cut(g: Graph, edge_ids: frozenset) -> bool:
+    """True iff every s-t path uses at least two of the given edges:
+    no path avoids them all (t is not on s's side) and none of them
+    runs from s's side to t's."""
+    from_s, to_t = _sides(g, edge_ids)
+    return g.sink not in from_s and not any(
+        e.tail in from_s and e.head in to_t
+        for e in g.edges if e.id in edge_ids)
 
 
 def _residual_arcs(g: Graph, costs, f, r):
@@ -159,12 +153,13 @@ def _cut_candidates(g: Graph, costs, f, r):
         u_set = set()
         for e in relief_far:
             u_set |= reach(no_exit, e.head) & to_sink
-        s2_bar = set()
-        for y in sorted(g.vertices):
-            dy, _ = shortest_paths(g.vertices, arcs, y)
-            if any(dy[w] is not None and dy[w][0] <= 0 for w in u_set):
-                s2_bar.add(y)
-        candidates.append((s1, frozenset(set(g.vertices) - s2_bar)))
+        # S2-bar: the vertices at length <= 0 from some vertex of U,
+        # one search back from all of U along the reversed arcs.
+        to_u, _ = shortest_paths(
+            g.vertices, [(b, a, w, label) for a, b, w, label in arcs],
+            *sorted(u_set))
+        candidates.append((s1, frozenset(
+            v for v in g.vertices if to_u[v] is None or to_u[v][0] > 0)))
 
     near = frozenset(v for v in g.vertices
                      if d(v) is not None and d(v) <= 1)
@@ -186,9 +181,8 @@ def _certified_cut(g: Graph, costs, s1, s2, dual_obj):
     c1, c2 = _crossing(g, s1), _crossing(g, s2)
     if c1 & c2:
         return None
+    # Every s-t path leaves S1 and leaves S2, on two different edges.
     d = c1 | c2
-    if not is_double_cut(g, d):
-        return None
     if sum(costs[eid] for eid in d) != dual_obj:
         return None
     return d
@@ -286,16 +280,10 @@ def prune_redundant(g: Graph, costs: dict, d: frozenset) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class BundleStructure:
-    h: Graph
-    # one entry per middle block v_i: (v_i, E_i edge ids, E_i' edge ids)
-    bundles: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]
-
-
-def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
+def contract_to_h(g: Graph, d: frozenset) -> tuple:
     """Collapse everything outside d and classify the d edges into
-    source-side and sink-side bundles.
+    source-side and sink-side bundles: one (v_i, E_i edge ids, E_i'
+    edge ids) per middle block v_i, by block name, each side sorted.
 
     Blocks are derived from d itself: the source block holds every
     vertex reachable from s without crossing d, the sink block every
@@ -312,9 +300,7 @@ def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
     if unknown:
         raise InputError(f"unknown edge ids: {sorted(unknown)}")
     s, t = g.source, g.sink
-    residual = [e for e in g.edges if e.id not in d]
-    s_block = reach(adjacency(residual), s)
-    t_block = reach(adjacency(residual, reverse=True), t)
+    s_block, t_block = _sides(g, d)
     if s_block & t_block:
         raise DomainError("an s-t path avoids the edge set entirely; "
                           "it is not a double cut")
@@ -324,17 +310,16 @@ def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
     block = {v: s for v in s_block}
     block.update((v, t) for v in t_block)
     leftover = [v for v in g.vertices if v not in block]
-    for comp in components(leftover, [(e.tail, e.head) for e in residual
-                                      if e.tail not in block
+    for comp in components(leftover, [(e.tail, e.head) for e in g.edges
+                                      if e.id not in d
+                                      and e.tail not in block
                                       and e.head not in block]):
         block.update((v, comp[0]) for v in comp)
 
     sides: dict[str, tuple[list, list]] = {}
-    h_edges = []
     for eid in sorted(d):
         e = g.edge_by_id[eid]
         tail, head = block[e.tail], block[e.head]
-        h_edges.append((e.id, tail, head))
         if tail == head:
             raise DomainError(f"edge {e.id!r} lies inside a contracted block; "
                               f"the double cut is not minimal")
@@ -350,37 +335,23 @@ def contract_to_h(g: Graph, d: frozenset) -> BundleStructure:
         else:
             raise DomainError(f"edge {e.id!r} connects two middle blocks; "
                               f"the double cut is not minimal")
-    h = Graph.build(sorted({s, t, *(v for v in sides)}), h_edges,
-                    directed=True, source=s, sink=t)
     for v, (left, right) in sides.items():
         if not left or not right:
             raise DomainError(f"block {v!r} has a one-sided bundle; "
                               f"the double cut is not minimal")
-    tidy = tuple((v, tuple(sorted(sides[v][0])), tuple(sorted(sides[v][1])))
-                 for v in sorted(sides))
-    return BundleStructure(h, tidy)
-
-
-def cut_conflict_graph(bundles: BundleStructure) -> Graph:
-    """Disjoint union of complete bipartite graphs: one per bundle,
-    pairing each source-side edge with each sink-side edge."""
-    ids = sorted(e.id for e in bundles.h.edges)
-    edges = []
-    for _, left, right in bundles.bundles:
-        for a, b in itertools.product(left, right):
-            lo, hi = sorted((a, b))
-            edges.append((f"{lo}|{hi}", lo, hi))
-    return Graph.build(ids, edges, directed=False)
+    return tuple((v, tuple(left), tuple(right))
+                 for v, (left, right) in sorted(sides.items()))
 
 
 class CutCoverSolver(CoverSolver):
-    """Cover queries on a disjoint union of complete bipartite bundles.
+    """Cover queries on a disjoint union of complete bipartite bundles,
+    given as `contract_to_h` returns them.
 
     A minimal cover takes one full side per bundle, so a min cover is
     the cheaper side of each bundle."""
 
-    def __init__(self, bundles: BundleStructure):
-        self.bundles = bundles.bundles
+    def __init__(self, bundles: tuple):
+        self.bundles = bundles
 
     def min_cover(self, costs):
         def cost(ids):
@@ -391,29 +362,28 @@ class CutCoverSolver(CoverSolver):
 
 
 @lru_cache(maxsize=256)
-def _cut_vc_instance(bundles: BundleStructure) -> VcInstance:
+def _cut_vc_instance(bundles: tuple) -> VcInstance:
     """The bundles' cover instance, Tot 1 on every agent, with no power
     iteration: bundle i is the component K_{a,b}, a = |E_i|, b = |E_i'|,
     whose Perron pair is sqrt(ab) with entries sqrt(b) on E_i and
     sqrt(a) on E_i', scaled to 1.0 on the smaller side."""
     comps = []
-    for _, left, right in bundles.bundles:
+    for _, left, right in bundles:
         a, b = len(left), len(right)
         comps.append(ComponentEigenpair(
             tuple(sorted(left + right)), math.sqrt(a * b),
             {**dict.fromkeys(left, min(1.0, math.sqrt(b / a))),
              **dict.fromkeys(right, min(1.0, math.sqrt(a / b)))}))
     comps.sort(key=lambda c: c.agents)
-    cg = cut_conflict_graph(bundles)
-    return VcInstance(cg, dict.fromkeys(cg.vertices, Fraction(1)),
-                      tuple(comps), CutCoverSolver(bundles), (), cg.vertices,
-                      {a: x for c in comps for a, x in c.vector.items()})
+    q = {a: x for c in comps for a, x in c.vector.items()}
+    agents = tuple(sorted(q))
+    return VcInstance(dict.fromkeys(agents, Fraction(1)), tuple(comps),
+                      CutCoverSolver(bundles), (), agents, q)
 
 
 def path_edge_ids(g: Graph) -> frozenset:
     """Edges lying on at least one s-t path."""
-    from_s = reach(adjacency(g.edges), g.source)
-    to_t = reach(adjacency(g.edges, reverse=True), g.sink)
+    from_s, to_t = _sides(g, frozenset())
     return frozenset(e.id for e in g.edges
                      if e.tail in from_s and e.head in to_t)
 

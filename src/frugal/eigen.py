@@ -92,12 +92,13 @@ class ComponentEigenpair:
 
 @dataclass(frozen=True)
 class VcInstance:
-    conflict_graph: Graph  # isolated agents already stripped
+    """What the cover auction reads of a conflict graph; the graph
+    itself stays with whoever built the instance."""
     tot: dict  # agent -> Fraction, >= 1 on every non-isolated agent
     components: tuple[ComponentEigenpair, ...]
     solver: CoverSolver
     isolated: tuple[str, ...]
-    agents: tuple[str, ...]  # the conflict graph's vertices, sorted
+    agents: tuple[str, ...]  # the non-isolated agents, sorted
     q: dict  # agent -> its component's eigenvector entry
 
     @property
@@ -252,19 +253,17 @@ def build_vc_instance(conflict_graph: Graph, tot: dict,
     for v in live:
         if tot[v] < 1:
             raise InputError(f"Tot({v!r}) must be >= 1")
-    stripped = Graph(live, conflict_graph.edges, directed=False)
-
-    adj = {tuple(sorted((e.tail, e.head))) for e in stripped.edges}
+    adj = {tuple(sorted((e.tail, e.head))) for e in conflict_graph.edges}
     comps = []
     for agents in components(live, adj):
         agent_set = set(agents)
         local_adj = {pair for pair in adj if pair[0] in agent_set}
         comps.append(_component_eigenpair(agents, local_adj, tot))
     if solver is None:
-        solver = BruteForceCoverSolver(stripped)
+        solver = BruteForceCoverSolver(
+            Graph(live, conflict_graph.edges, directed=False))
     q = {a: x for comp in comps for a, x in comp.vector.items()}
-    return VcInstance(stripped, dict(tot), tuple(comps), solver, isolated,
-                      live, q)
+    return VcInstance(dict(tot), tuple(comps), solver, isolated, live, q)
 
 
 def scaled_costs(inst: VcInstance, bids: dict) -> dict:
@@ -396,9 +395,10 @@ def ev_frugality_on_units(inst: VcInstance) -> float:
 Mechanism = Callable[[dict], AuctionOutcome]
 
 
-def probe_lower_bound(inst: VcInstance,
+def probe_lower_bound(inst: VcInstance, conflict_graph: Graph,
                       mechanism: Mechanism) -> tuple[str, float]:
-    """Pairwise-competition probe for the eigenvalue/2 payment bound.
+    """Pairwise-competition probe for the eigenvalue/2 payment bound on
+    the instance built from `conflict_graph`.
 
     Orients each conflict edge toward whichever endpoint wins when the
     two endpoints bid their eigenvector weights, picks a node whose
@@ -409,7 +409,7 @@ def probe_lower_bound(inst: VcInstance,
     out_nbrs: dict[str, set[str]] = {v: set() for v in inst.agents}
     in_nbrs: dict[str, set[str]] = {v: set() for v in inst.agents}
     edges = sorted({tuple(sorted((e.tail, e.head)))
-                    for e in inst.conflict_graph.edges})
+                    for e in conflict_graph.edges})
     for u, v in edges:
         bids = unit_bid_vector(inst, u, Fraction(q[u]))
         bids[v] = Fraction(q[v])

@@ -191,16 +191,16 @@ class FlowCoverSolver(CoverSolver):
 
 @lru_cache(maxsize=256)
 def _flow_vc_instance(h: Graph, k: int) -> VcInstance:
-    # Validate that h really is a (k+1)-path support before trusting
-    # the cover correspondence.
-    decompose_paths(h, k + 1)
     cg = conflict_graph(h)
     tot = {eid: Fraction(k) for eid in cg.vertices}
     return build_vc_instance(cg, tot, solver=FlowCoverSolver(h, k))
 
 
 def vc_from_flow(h: Graph, k: int) -> VcInstance:
-    """The cover-auction instance induced by a pruned flow network."""
+    """The cover-auction instance induced by a pruned flow network.
+    DomainError unless h splits into k+1 edge-disjoint s-t paths, on
+    which alone the cover correspondence holds."""
+    decompose_paths(h, k + 1)
     return _flow_vc_instance(h, k)
 
 
@@ -210,13 +210,17 @@ def fm_run(g: Graph, costs: dict, k: int) -> AuctionOutcome:
     Winners form a k-flow. Edges pruned out of H lose at price 0. A
     winner's payment is capped by the highest bid at which it stays in
     the min-cost (k+1)-flow that defines H. The pruning solve checks
-    the network and every bid; numpy integer bids run as Python ints."""
+    the network and every bid; numpy integer bids run as Python ints.
+
+    H splits into k+1 simple paths unchecked: every `tie_broken` weight
+    is positive, so a min-cost flow carries no cycle."""
     if k < 1:
         raise InputError("k must be at least 1")
     costs = python_integers(costs)
     h = prune_to_support(g, costs, k)
 
-    return reduced_run(vc_from_flow(h, k), costs, (e.id for e in g.edges),
+    return reduced_run(_flow_vc_instance(h, k), costs,
+                       (e.id for e in g.edges),
                        lambda c: min_cost_flow(g, c, k + 1),
                        {"pruned_support": sorted(e.id for e in h.edges)})
 

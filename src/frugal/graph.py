@@ -9,13 +9,14 @@ The traversal layer: `adjacency` builds a successor (or predecessor)
 map, `reach` returns everything a vertex reaches in such a map, and
 `components` returns undirected connected components; every
 reachability question goes through them. `shortest_paths` is the one
-shortest-path search, a Bellman-Ford on lexicographic integer pairs:
-`flow.successive_shortest_paths` runs it on each residual graph it
-augments in, and the cut auction on the relief flow's residual graph
-to read off its candidate cuts. `path_labels` reads a path out of its
-result. Traversal state lives for one call; a `Graph` caches only its
-`edge_by_id` map and its sorted out-edge lists. `check_network` holds
-the structural checks that flow and cut networks share.
+shortest-path search, a Bellman-Ford on lexicographic integer pairs
+from one source or several: `flow.successive_shortest_paths` runs it
+on each residual graph it augments in, and the cut auction twice on
+the relief flow's residual graph to read off its candidate cuts.
+`path_labels` reads a path out of its result. Traversal state lives
+for one call; a `Graph` caches only its `edge_by_id` map and its
+sorted out-edge lists. `check_network` holds the structural checks
+that flow and cut networks share.
 """
 
 from __future__ import annotations
@@ -201,19 +202,21 @@ def components(vertices: Iterable[str],
     return comps
 
 
-def shortest_paths(vertices: Iterable[str], arcs: list, source: str):
-    """Bellman-Ford from `source` on pair-weighted arcs.
+def shortest_paths(vertices: Iterable[str], arcs: list, *sources: str):
+    """Bellman-Ford from every one of `sources` at once on pair-weighted
+    arcs: each vertex gets the least of its distances from them.
 
     Each arc is `(tail, head, (w0, w1), label)` with integer weights;
     path weights add componentwise and compare lexicographically. Arcs
     are relaxed in the given order and only a strictly shorter path
     replaces a distance, so the predecessor tree depends only on the
     arc list. Returns (dist, pred): dist maps each vertex to its
-    distance pair, or None when unreachable; pred maps each reached
-    vertex but the source to the arc that reached it. DomainError on a
-    negative cycle reachable from the source."""
+    distance pair, or None when unreachable; pred maps each vertex an
+    arc reached to the last such arc: in a single-source search, every
+    reached vertex but the source. DomainError on a negative cycle
+    reachable from a source."""
     dist = dict.fromkeys(vertices)
-    dist[source] = (0, 0)
+    dist.update(dict.fromkeys(sources, (0, 0)))
     pred: dict = {}
     for _ in range(len(dist)):
         changed = False

@@ -2,10 +2,11 @@
 
 Everything here exists to test the mechanisms from the outside:
 exhaustive double-cut search, the canonical tie-break by greedy
-re-solving, black-box truthfulness probes with
-payment bisection, frugality measurement against the exact Nash bound,
-and random instance generators. A deliberately broken first-price
-mechanism serves as the negative control for the truthfulness probe.
+re-solving, the cut auction's conflict graph written out, black-box
+truthfulness probes with payment bisection, frugality measurement
+against the exact Nash bound, and random instance generators. A
+deliberately broken first-price mechanism serves as the negative
+control for the truthfulness probe.
 """
 
 from __future__ import annotations
@@ -74,6 +75,20 @@ def canonical_double_cut_reference(g: Graph, costs: dict) -> DoubleCutResult:
         if eid not in r.double_cut and r.cost == base.cost:
             working = trial
     return min_double_cut(g, working)
+
+
+def cut_conflict_graph(bundles: tuple) -> Graph:
+    """The conflict graph of `cut.contract_to_h`'s bundles, which the
+    cut auction never builds: a disjoint union of complete bipartite
+    graphs, one per bundle, pairing each source-side edge with each
+    sink-side edge."""
+    ids = sorted(i for _, left, right in bundles for i in left + right)
+    edges = []
+    for _, left, right in bundles:
+        for a, b in itertools.product(left, right):
+            lo, hi = sorted((a, b))
+            edges.append((f"{lo}|{hi}", lo, hi))
+    return Graph.build(ids, edges, directed=False)
 
 
 def brute_conflict_pairs(h: Graph) -> frozenset:

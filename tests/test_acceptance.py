@@ -15,6 +15,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+import frugal.cut
 from frugal.cli import main
 from frugal.cut import (cm_run, contract_to_h, min_double_cut,
                         prune_redundant)
@@ -23,7 +24,7 @@ from frugal.eigen import (MinimalCoverSolver, build_vc_instance, ev_run,
 from frugal.errors import DomainError, FrugalError, MonopolyError
 from frugal.flow import (conflict_graph, fm_run, nu_flow_fast,
                          prune_to_support)
-from frugal.graph import Graph, graph_to_json
+from frugal.graph import Graph, enumerate_st_paths, graph_to_json
 from frugal.oracle import (brute_conflict_pairs, brute_double_cut,
                            check_truthfulness, random_costs,
                            random_cut_network, random_flow_network,
@@ -51,6 +52,17 @@ def criterion(capfd, number, text):
             raise
         announce(capfd, number, "PASS", text)
     return wrap
+
+
+def bundle_network(g, bundles):
+    """The contracted network H of `contract_to_h`'s bundles: s, t and
+    one vertex per bundle, entered by the bundle's source-side edges
+    and left by its sink-side ones."""
+    s, t = g.source, g.sink
+    edges = [(eid, s, v) for v, left, _ in bundles for eid in left]
+    edges += [(eid, v, t) for v, _, right in bundles for eid in right]
+    return Graph.build(sorted([s, t, *(v for v, _, _ in bundles)]),
+                       sorted(edges), directed=True, source=s, sink=t)
 
 
 def from_networkx(nxg):
@@ -170,7 +182,7 @@ def test_criterion_3_probe_lower_bound(capfd):
             if not g.edges:
                 continue
             _, inst = vc_instance_with_exact_tot(g)
-            _, ratio = probe_lower_bound(inst, lambda b: ev_run(inst, b))
+            _, ratio = probe_lower_bound(inst, g, lambda b: ev_run(inst, b))
             assert ratio >= inst.max_eigenvalue / 2 - 1e-9
             instances += 1
 
@@ -278,6 +290,30 @@ def test_criterion_7_double_cut_optimal_and_certified(
         assert worked.relief_total == 1
 
 
+def test_certified_cuts_on_criterion_7_networks_are_double_cuts(
+        monkeypatch):
+    # `_certified_cut` does not re-check what it certifies: every s-t
+    # path leaves S1 and leaves S2, on two edges when the crossings are
+    # disjoint. Each cut it accepts must meet every s-t path twice.
+    plain = frugal.cut._certified_cut
+    accepted = []
+
+    def recording(g, costs, s1, s2, dual_obj):
+        d = plain(g, costs, s1, s2, dual_obj)
+        if d is not None:
+            accepted.append((g, d))
+        return d
+
+    monkeypatch.setattr(frugal.cut, "_certified_cut", recording)
+    primal_dual = sum(min_double_cut(g, costs, canonical).method
+                      == "primal-dual"
+                      for g, costs in _double_cut_cases(200)
+                      for canonical in (False, True))
+    assert len(accepted) == primal_dual >= 200
+    for g, d in accepted:
+        assert all(len(d.intersection(p)) >= 2 for p in enumerate_st_paths(g))
+
+
 def test_criterion_8_contraction_preserves_nash_bound(capfd):
     @criterion(capfd, 8,
                "nu on the contracted cut network is at most 2 * nu on "
@@ -296,12 +332,13 @@ def test_criterion_8_contraction_preserves_nash_bound(capfd):
                 skipped += 1
                 continue
             h_costs = {eid: costs[eid] for eid in d}
-            nu_h = nu(SetSystem(CUT, bundles.h), h_costs).value
+            nu_h = nu(SetSystem(CUT, bundle_network(g, bundles)),
+                      h_costs).value
             nu_g = nu(SetSystem(CUT, g), costs).value
             assert nu_h <= 2 * nu_g
             side_sum = sum(
                 (max(sum(costs[e] for e in left), sum(costs[e] for e in right))
-                 for _, left, right in bundles.bundles), F(0))
+                 for _, left, right in bundles), F(0))
             assert nu_h == side_sum
             checked += 1
         assert (checked, skipped) == (200, 0)

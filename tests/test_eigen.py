@@ -17,8 +17,10 @@ from frugal.errors import DomainError, InputError, ScaleError
 from frugal.flow import (fm_run, min_cost_flow, prune_to_support,
                          vc_from_flow)
 from frugal.graph import Graph
-from frugal.oracle import (random_costs, random_cut_network,
-                           random_flow_network, random_undirected_graph)
+from frugal.flow import conflict_graph
+from frugal.oracle import (cut_conflict_graph, random_costs,
+                           random_cut_network, random_flow_network,
+                           random_undirected_graph)
 from frugal.setsystems import VERTEX_COVER, SetSystem, tot
 
 TWO = Fraction(2)
@@ -156,14 +158,14 @@ def test_frugality_on_units(triangle, star):
 
 def test_probe_triangle(triangle):
     inst = instance(triangle, TWO)
-    _, ratio = probe_lower_bound(inst, lambda b: ev_run(inst, b))
+    _, ratio = probe_lower_bound(inst, triangle, lambda b: ev_run(inst, b))
     assert ratio == pytest.approx(1.0, rel=1e-9)
     assert ratio >= inst.max_eigenvalue / 2 - 1e-9
 
 
 def test_probe_star(star):
     inst = instance(star, ONE)
-    _, ratio = probe_lower_bound(inst, lambda b: ev_run(inst, b))
+    _, ratio = probe_lower_bound(inst, star, lambda b: ev_run(inst, b))
     assert ratio >= inst.max_eigenvalue / 2 - 1e-9
 
 
@@ -182,15 +184,15 @@ def test_disconnected_components_decompose():
 
 
 def tie_heavy_vc_instances():
-    """150 G(n, 0.4) graphs with 8-10 vertices and their vertex-cover
-    Tot, each with 16 integer bid vectors 0..3: zero bids and exact
-    ties between covers on almost every draw."""
+    """150 G(n, 0.4) graphs with 8-10 vertices, their vertex-cover
+    instances under their Tot, each with 16 integer bid vectors 0..3:
+    zero bids and exact ties between covers on almost every draw."""
     rng = random.Random(11)
     for _ in range(150):
         g = random_undirected_graph(rng, rng.randint(8, 10), 0.4)
         system = SetSystem(VERTEX_COVER, g)
         inst = build_vc_instance(g, {v: tot(system, v) for v in g.vertices})
-        yield inst, [{v: rng.randint(0, 3) for v in sorted(g.vertices)}
+        yield g, inst, [{v: rng.randint(0, 3) for v in sorted(g.vertices)}
                      for _ in range(16)]
 
 
@@ -198,9 +200,8 @@ def test_minimal_solver_matches_brute_force():
     # Both solvers minimise one exact perturbed cost, so they choose the
     # same covers on every draw, ties included, and pay the same.
     draws = 0
-    for inst, bid_vectors in tie_heavy_vc_instances():
-        fast = dataclasses.replace(
-            inst, solver=MinimalCoverSolver(inst.conflict_graph))
+    for g, inst, bid_vectors in tie_heavy_vc_instances():
+        fast = dataclasses.replace(inst, solver=MinimalCoverSolver(g))
         for bids in bid_vectors:
             brute, minimal = ev_run(inst, bids), ev_run(fast, bids)
             assert minimal.winners == brute.winners
@@ -241,7 +242,7 @@ def test_eigen_residual_on_random_instances():
         for comp in inst.components:
             for a in comp.agents:
                 kq = sum((1 / float(tot[a])) * q[b]
-                         for b in inst.conflict_graph.neighbors(a))
+                         for b in g.neighbors(a))
                 assert abs(kq - comp.eigenvalue * q[a]) <= 1e-10
 
 
@@ -253,9 +254,9 @@ def test_eigenpairs_match_eigh():
     # up to 7.4e-11 relative from eigh's here (gaps down to 0.14), so
     # a flat 1e-12 on q would fail 94 of these 380 components.
     count = 0
-    for _, inst, _ in _seeded_instances(random.Random(23), 120):
+    for _, cg, inst, _ in _seeded_instances(random.Random(23), 120):
         for comp in inst.components:
-            nbrs = [inst.conflict_graph.neighbors(a) for a in comp.agents]
+            nbrs = [cg.neighbors(a) for a in comp.agents]
             adj = np.array([[float(b in row) for b in comp.agents]
                             for row in nbrs])
             d_half = np.array([float(inst.tot[a]) ** -0.5
@@ -290,7 +291,7 @@ def test_cut_bundles_get_the_closed_form_eigenpair():
         bundles = contract_to_h(core, result.double_cut)
         inst = _cut_vc_instance(bundles)
         comps = {c.agents: c for c in inst.components}
-        for _, left, right in bundles.bundles:
+        for _, left, right in bundles:
             comp = comps.pop(tuple(sorted(left + right)))
             small, large = sorted((len(left), len(right)))
             assert comp.eigenvalue == math.sqrt(small * large)
@@ -300,7 +301,7 @@ def test_cut_bundles_get_the_closed_form_eigenpair():
                            for a in side)
             bundles_seen += 1
         assert not comps
-        iterated = build_vc_instance(inst.conflict_graph, inst.tot)
+        iterated = build_vc_instance(cut_conflict_graph(bundles), inst.tot)
         assert ([c.agents for c in iterated.components]
                 == [c.agents for c in inst.components])
         for c, it in zip(inst.components, iterated.components):
@@ -379,32 +380,36 @@ def test_brute_force_exclusion_is_the_priced_out_cover(draw):
 
 
 def _seeded_instances(rng, count):
-    """(kind, cover instance, bids) on `count` seeded draws each of
-    G(n, p) with random Tot, pruned flow networks and cut bundles."""
+    """(kind, conflict graph, cover instance, bids) on `count` seeded
+    draws each of G(n, p) with random Tot, pruned flow networks and cut
+    bundles."""
     for _ in range(count):
         g = random_undirected_graph(rng, rng.randint(2, 12),
                                     p=rng.uniform(0.2, 0.8))
         tot = {v: Fraction(rng.randint(2, 12), rng.randint(1, 2))
                for v in g.vertices}
-        yield "vc", build_vc_instance(g, tot), random_costs(rng, g.vertices)
+        yield ("vc", g, build_vc_instance(g, tot),
+               random_costs(rng, g.vertices))
     for _ in range(count):
         k = rng.randint(1, 4)
         g = random_flow_network(rng, k, rng.randint(1, 8))
         bids = random_costs(rng, (e.id for e in g.edges))
-        yield "flow", vc_from_flow(prune_to_support(g, bids, k), k), bids
+        h = prune_to_support(g, bids, k)
+        yield "flow", conflict_graph(h), vc_from_flow(h, k), bids
     for _ in range(count):
         g = random_cut_network(rng, rng.randint(8, 12), rng.randint(12, 26))
         bids = random_costs(rng, (e.id for e in g.edges))
         core, result = select_double_cut(g, bids)
         bundles = contract_to_h(core, result.double_cut)
-        yield "cut", _cut_vc_instance(bundles), bids
+        yield ("cut", cut_conflict_graph(bundles), _cut_vc_instance(bundles),
+               bids)
 
 
 def test_threshold_is_the_exact_sum_rounded_once():
     # F = m(R_u - X*) - m(X* - R_u - {u}), summed as Fractions: the
     # payment is q_u times F rounded to the nearest float.
     kinds = set()
-    for kind, inst, bids in _seeded_instances(random.Random(17), 12):
+    for kind, _, inst, bids in _seeded_instances(random.Random(17), 12):
         m = scaled_costs(inst, bids)
         winners = inst.solver.min_cover(m)
         outcome = ev_run(inst, bids)
@@ -560,8 +565,8 @@ def test_every_cover_query_returns_the_cover_alone(solver):
         costs = {"a": 1, "b": 5, "c": 1}
         inst = instance(ABC_Z, ONE)
         if solver == "minimal":
-            inst = dataclasses.replace(
-                inst, solver=MinimalCoverSolver(inst.conflict_graph))
+            inst = dataclasses.replace(inst,
+                                       solver=MinimalCoverSolver(ABC_Z))
     agent = min(costs)
     for cover in (inst.solver.min_cover(costs),
                   inst.solver.min_cover_containing(agent, costs),

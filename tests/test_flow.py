@@ -189,6 +189,36 @@ def test_decompose_rejects_leftovers(three_flow):
         decompose_paths(three_flow, 2)
 
 
+def test_vc_from_flow_rejects_what_is_not_k_plus_1_paths(three_flow):
+    # Three paths are not two, and a cycle off every path is no path.
+    with pytest.raises(DomainError):
+        vc_from_flow(three_flow, 1)
+    g = Graph.build(["s", "a", "b", "t"],
+                    [("p", "s", "t"), ("q", "s", "t"), ("ab", "a", "b"),
+                     ("ba", "b", "a")], source="s", sink="t")
+    with pytest.raises(DomainError):
+        vc_from_flow(g, 1)
+
+
+def test_pruned_support_is_acyclic_and_splits_into_paths():
+    # fm_run builds its instance without `decompose_paths`: every
+    # `tie_broken` weight is positive, so a min-cost (k+1)-flow carries
+    # no cycle, and its acyclic support splits into k+1 simple paths.
+    rng = random.Random(72)
+    cyclic = 0
+    for _ in range(500):
+        k = rng.randint(1, 3)
+        g = random_flow_network(rng, k, rng.randint(2, 8))
+        costs = {e.id: rng.randint(0, 3) for e in sorted(g.edges)}
+        h = prune_to_support(g, costs, k)
+        cyclic += not nx.is_directed_acyclic_graph(
+            nx.MultiDiGraph([(e.tail, e.head) for e in g.edges]))
+        assert nx.is_directed_acyclic_graph(
+            nx.MultiDiGraph([(e.tail, e.head) for e in h.edges]))
+        assert len(decompose_paths(h, k + 1)) == k + 1
+    assert cyclic >= 100
+
+
 def test_conflict_graph_matches_hand_derivation(three_flow):
     cg = conflict_graph(three_flow)
     pairs = {frozenset((e.tail, e.head)) for e in cg.edges}

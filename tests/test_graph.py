@@ -192,6 +192,24 @@ def test_shortest_paths_match_simple_path_enumeration():
     assert negative >= 150
 
 
+def test_shortest_paths_from_several_sources_take_the_least():
+    # Each vertex gets the lexicographic minimum of its distances in
+    # the single-source runs, and None only where no source reaches it.
+    rng = random.Random(22)
+    improved = 0
+    for vertices, arcs in random_pair_digraphs(400, 23):
+        sources = rng.sample(vertices, rng.randint(1, len(vertices)))
+        runs = [shortest_paths(vertices, arcs, s)[0] for s in sources]
+        dist, _ = shortest_paths(vertices, arcs, *sources)
+        for v in vertices:
+            reached = [run[v] for run in runs if run[v] is not None]
+            assert dist[v] == (min(reached) if reached else None)
+            improved += dist[v] is not None and dist[v] != runs[0][v]
+    assert improved >= 300
+    assert shortest_paths([0, 1], [(0, 1, (0, 0), "a")])[0] == {0: None,
+                                                                1: None}
+
+
 @pytest.mark.parametrize("cycle", [((0, 1), (-1, 5)), ((2, -1), (-2, 0))])
 def test_shortest_paths_raise_on_negative_cycle(cycle):
     (wa, wb) = cycle
