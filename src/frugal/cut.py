@@ -150,9 +150,7 @@ def _cut_candidates(g: Graph, costs, f, r):
         # Vertices on a head-to-sink path; walks may not leave the sink,
         # else cycles through t pollute the set.
         no_exit = {**adjacency(arc_edges), g.sink: ()}
-        u_set = set()
-        for e in relief_far:
-            u_set |= reach(no_exit, e.head) & to_sink
+        u_set = reach(no_exit, *(e.head for e in relief_far)) & to_sink
         # S2-bar: the vertices at length <= 0 from some vertex of U,
         # one search back from all of U along the reversed arcs.
         to_u, _ = shortest_paths(

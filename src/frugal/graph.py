@@ -6,9 +6,9 @@ Graphs are immutable after construction. Parallel edges are permitted
 edge carries a stable unique id.
 
 The traversal layer: `adjacency` builds a successor (or predecessor)
-map, `reach` returns everything a vertex reaches in such a map, and
-`components` returns undirected connected components; every
-reachability question goes through them. `shortest_paths` is the one
+map, `reach` returns everything one or several vertices reach in
+such a map, and `components` returns undirected connected components;
+every reachability question goes through them. `shortest_paths` is the one
 shortest-path search, a Bellman-Ford on lexicographic integer pairs
 from one source or several: `flow.successive_shortest_paths` runs it
 on each residual graph it augments in, and the cut auction twice on
@@ -171,10 +171,11 @@ def adjacency(edges: Iterable, reverse: bool = False) -> dict[str, list[str]]:
     return adj
 
 
-def reach(adj: dict, start: str) -> set[str]:
-    """Every vertex reachable from `start` in the map, `start` included."""
-    seen = {start}
-    todo = [start]
+def reach(adj: dict, *starts: str) -> set[str]:
+    """Every vertex reachable from one of `starts` in the map, the
+    starts included."""
+    seen = set(starts)
+    todo = list(seen)
     while todo:
         for w in adj.get(todo.pop(), ()):
             if w not in seen:
@@ -211,9 +212,9 @@ def shortest_paths(vertices: Iterable[str], arcs: list, *sources: str):
     are relaxed in the given order and only a strictly shorter path
     replaces a distance, so the predecessor tree depends only on the
     arc list. Returns (dist, pred): dist maps each vertex to its
-    distance pair, or None when unreachable; pred maps each vertex an
-    arc reached to the last such arc: in a single-source search, every
-    reached vertex but the source. DomainError on a negative cycle
+    distance pair, or None when unreachable; pred maps each vertex
+    whose distance an arc lowered to the last such arc: in a
+    single-source search, every reached vertex but the source. DomainError on a negative cycle
     reachable from a source."""
     dist = dict.fromkeys(vertices)
     dist.update(dict.fromkeys(sources, (0, 0)))

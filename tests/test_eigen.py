@@ -14,10 +14,9 @@ from frugal.eigen import (BruteForceCoverSolver, CoverSolver,
                           ev_frugality_on_units, ev_run, probe_lower_bound,
                           scaled_costs, unit_bid_vector)
 from frugal.errors import DomainError, InputError, ScaleError
-from frugal.flow import (fm_run, min_cost_flow, prune_to_support,
-                         vc_from_flow)
+from frugal.flow import (conflict_graph, fm_run, min_cost_flow,
+                         prune_to_support, vc_from_flow)
 from frugal.graph import Graph
-from frugal.flow import conflict_graph
 from frugal.oracle import (cut_conflict_graph, random_costs,
                            random_cut_network, random_flow_network,
                            random_undirected_graph)

@@ -116,6 +116,10 @@ def test_reach_matches_networkx():
         for v in vertices:
             assert reach(succ, v) == nx.descendants(g, v) | {v}
             assert reach(pred, v) == nx.ancestors(g, v) | {v}
+        # Several starts reach the union of what each one reaches.
+        starts = vertices[::3]
+        assert reach(succ, *starts) == set().union(
+            *(nx.descendants(g, v) | {v} for v in starts))
 
 
 def test_adjacency_keeps_parallel_arcs_and_omits_sinks():
